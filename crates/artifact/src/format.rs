@@ -39,15 +39,16 @@
 //! `VERSION` is bumped on **any** layout change — there are no in-place
 //! extensions. Readers reject any version other than their own; writers
 //! only ever emit the current version. The 16 reserved header bytes must
-//! be zero under version 1, so they cannot be reused later without a
-//! version bump being detected by old readers.
+//! be zero, so they cannot be reused later without a version bump being
+//! detected by old readers.
 
 use crate::error::ArtifactError;
 
 /// Magic bytes at offset 0.
 pub const MAGIC: [u8; 8] = *b"SUNDERDB";
-/// Current (and only) format version.
-pub const VERSION: u32 = 1;
+/// Current (and only) format version. Version 2 added the engine
+/// selection reason to [`GlobalMeta`]; version 1 files are refused.
+pub const VERSION: u32 = 2;
 /// Endianness tag as written by the producing host. A reader on a host
 /// with different byte order sees these bytes permuted and rejects.
 pub const ENDIAN_TAG: u32 = 0x0A0B_0C0D;
@@ -57,8 +58,8 @@ pub const HEADER_LEN: usize = 64;
 pub const SECTION_ENTRY_LEN: usize = 24;
 /// Required alignment of every payload section.
 pub const SECTION_ALIGN: usize = 8;
-/// Serialized size of [`GlobalMeta`] (12 × u64).
-pub const GLOBAL_META_LEN: usize = 96;
+/// Serialized size of [`GlobalMeta`] (13 × u64).
+pub const GLOBAL_META_LEN: usize = 104;
 /// Serialized size of [`ShardMeta`] (15 × u64).
 pub const SHARD_META_LEN: usize = 120;
 
@@ -243,19 +244,25 @@ pub fn read_u64(bytes: &[u8], offset: usize) -> u64 {
 }
 
 /// Global pipeline metadata — the [`SectionKind::Meta`] payload, stored
-/// as 12 native-endian `u64`s in field order.
+/// as 13 native-endian `u64`s in field order.
 ///
 /// Invariants: the three `*_tag` fields index the corresponding `ALL`
 /// arrays ([`sunder_oracle::PipelineConfig::ALL`],
 /// `sunder_sim::EngineKind::ALL`, and the [`crate::SpecParams`] tag
-/// space); `per_original ≥ 1`; `plan_total_states == num_states`; every
-/// per-shard section's shard index is `< shard_count`.
+/// space); `select_reason` is a `sunder_sim::SelectReason` code that can
+/// produce the engine kind; `per_original ≥ 1`;
+/// `plan_total_states == num_states`; every per-shard section's shard
+/// index is `< shard_count`; shards carry dense tables exactly when the
+/// engine is dense.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GlobalMeta {
     /// Index into `PipelineConfig::ALL`.
     pub config_tag: u64,
-    /// Index into `EngineKind::ALL`.
+    /// Index into `EngineKind::ALL`: the engine the compile-time selector
+    /// resolved.
     pub engine_tag: u64,
+    /// `SelectReason` code: why that engine was chosen.
+    pub select_reason: u64,
     /// Sharding-spec discriminant (0 = max-shards, 1 = budget).
     pub spec_tag: u64,
     /// Shard count bound or STE budget, per `spec_tag`.
@@ -305,23 +312,25 @@ impl GlobalMeta {
         Ok(GlobalMeta {
             config_tag: f(0),
             engine_tag: f(1),
-            spec_tag: f(2),
-            spec_value: f(3),
-            oversize_tag: f(4),
-            shard_count: f(5),
-            symbol_bits: f(6),
-            stride: f(7),
-            per_original: f(8),
-            num_states: f(9),
-            plan_ste_budget: f(10),
-            plan_total_states: f(11),
+            select_reason: f(2),
+            spec_tag: f(3),
+            spec_value: f(4),
+            oversize_tag: f(5),
+            shard_count: f(6),
+            symbol_bits: f(7),
+            stride: f(8),
+            per_original: f(9),
+            num_states: f(10),
+            plan_ste_budget: f(11),
+            plan_total_states: f(12),
         })
     }
 
-    fn fields(&self) -> [u64; 12] {
+    fn fields(&self) -> [u64; 13] {
         [
             self.config_tag,
             self.engine_tag,
+            self.select_reason,
             self.spec_tag,
             self.spec_value,
             self.oversize_tag,
@@ -484,6 +493,7 @@ mod tests {
         let meta = GlobalMeta {
             config_tag: 2,
             engine_tag: 1,
+            select_reason: 2,
             spec_tag: 1,
             spec_value: 256,
             oversize_tag: 1,
@@ -496,7 +506,7 @@ mod tests {
             plan_total_states: 77,
         };
         assert_eq!(GlobalMeta::from_bytes(&meta.to_bytes()).unwrap(), meta);
-        assert!(GlobalMeta::from_bytes(&[0u8; 95]).is_err());
+        assert!(GlobalMeta::from_bytes(&[0u8; GLOBAL_META_LEN - 1]).is_err());
     }
 
     #[test]

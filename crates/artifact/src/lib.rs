@@ -39,7 +39,7 @@ pub mod write;
 use sunder_automata::partition::{partition, partition_into, PartitionOptions, ShardPlan};
 use sunder_automata::{AutomataError, Nfa};
 use sunder_oracle::PipelineConfig;
-use sunder_sim::EngineKind;
+use sunder_sim::{EngineChoice, EngineKind};
 
 pub use error::ArtifactError;
 pub use mapped::{LoadedPipeline, MappedDb, Mapping};
@@ -153,19 +153,26 @@ impl std::fmt::Display for SpecParams {
 
 /// The content-addressed pipeline key over already-serialized source
 /// ANML — bit-compatible with `sunder-shard`'s `pipeline_key` (which
-/// serializes the automaton and calls the same FNV-1a fold).
+/// serializes the automaton and calls the same FNV-1a fold). The key
+/// covers the engine *request*, not the resolved kind, so it is known
+/// before compiling.
 pub fn db_key_from_anml(
     config: PipelineConfig,
     spec: &SpecParams,
-    engine: EngineKind,
+    engine: EngineChoice,
     source_anml: &str,
 ) -> u64 {
     fnv1a_parts(&[config.name(), &spec.key_text(), engine.name(), source_anml])
 }
 
 /// The content-addressed pipeline key of `(source automaton, config,
-/// sharding spec, engine)`.
-pub fn db_key(source: &Nfa, config: PipelineConfig, spec: &SpecParams, engine: EngineKind) -> u64 {
+/// sharding spec, engine request)`.
+pub fn db_key(
+    source: &Nfa,
+    config: PipelineConfig,
+    spec: &SpecParams,
+    engine: EngineChoice,
+) -> u64 {
     db_key_from_anml(
         config,
         spec,

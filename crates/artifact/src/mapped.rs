@@ -34,7 +34,7 @@ use sunder_sim::dense::DenseTables;
 use sunder_sim::fastpath::{
     SparseTables, StartIndex, SymCode, ENCODING_KINDS, MAX_BUCKETED_ALPHABET,
 };
-use sunder_sim::{EngineKind, ShardedEngine, TableBuf};
+use sunder_sim::{EngineKind, SelectReason, Selection, ShardedEngine, TableBuf};
 use sunder_transform::PositionMap;
 
 use crate::error::ArtifactError;
@@ -286,8 +286,6 @@ pub struct LoadedPipeline {
     pub config: PipelineConfig,
     /// Sharding parameters.
     pub spec: SpecParams,
-    /// Per-shard engine kind.
-    pub engine: EngineKind,
     /// Canonical ANML of the source automaton.
     pub source_anml: String,
     /// The transformed (executable) automaton.
@@ -358,9 +356,15 @@ impl MappedDb {
         self.pipeline.spec
     }
 
-    /// The per-shard engine kind.
+    /// The engine every shard runs, as the selector resolved it.
     pub fn engine(&self) -> EngineKind {
-        self.pipeline.engine
+        self.pipeline.sharded.kind()
+    }
+
+    /// The recorded engine selection: the kind and why it was chosen.
+    /// Its [`Selection::choice`] is the engine request the key covers.
+    pub fn selection(&self) -> Selection {
+        self.pipeline.sharded.selection()
     }
 
     /// Canonical ANML of the source automaton.
@@ -810,6 +814,9 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
         .ok()
         .and_then(|i| EngineKind::ALL.get(i).copied())
         .ok_or(bad("engine tag"))?;
+    let selection = SelectReason::from_code(meta.select_reason)
+        .and_then(|reason| Selection::new(engine, reason))
+        .ok_or(bad("engine selection reason"))?;
     let spec = SpecParams::from_tags(meta.spec_tag, meta.spec_value, meta.oversize_tag)
         .ok_or(bad("sharding spec tags"))?;
     if meta.symbol_bits == 0 || meta.symbol_bits > 16 {
@@ -841,7 +848,7 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
     // Content-hash cross-check: the header key must be reproducible from
     // the embedded identity, or the file describes a different pipeline
     // than it claims (e.g. a stale database after a config change).
-    let computed = db_key_from_anml(config, &spec, engine, source_anml);
+    let computed = db_key_from_anml(config, &spec, selection.choice(), source_anml);
     if computed != raw.header.pipeline_key {
         return Err(ArtifactError::StaleHash {
             header: raw.header.pipeline_key,
@@ -910,6 +917,11 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
             &shard_nfa,
             &mut borrowed,
         )?;
+        if (sm.has_dense == 1) != (engine == EngineKind::Dense) {
+            return Err(bad(
+                "dense tables must be present exactly for the dense engine",
+            ));
+        }
         let dense = if sm.has_dense == 1 {
             Some(Arc::new(load_dense(
                 &raw,
@@ -955,7 +967,7 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
     };
     let symbol_bits = meta.symbol_bits as u8;
     let stride = to_usize(meta.stride, "stride")?;
-    let sharded = ShardedEngine::from_prebuilt(plan, engine, symbol_bits, stride, tables);
+    let sharded = ShardedEngine::from_prebuilt(plan, selection, symbol_bits, stride, tables);
 
     // Telemetry parity with the in-memory build path, which emits the
     // encoding histogram from SparseTables::build once per shard.
@@ -988,7 +1000,6 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
             key,
             config,
             spec,
-            engine,
             source_anml,
             nfa,
             map,

@@ -14,7 +14,7 @@ use sunder_automata::{anml, Nfa, StateId};
 use sunder_oracle::PipelineConfig;
 use sunder_sim::dense::DenseTables;
 use sunder_sim::fastpath::{SparseTables, StartIndex, SymCode};
-use sunder_sim::{EngineKind, ShardedEngine};
+use sunder_sim::{EngineChoice, EngineKind, ShardedEngine};
 use sunder_transform::PositionMap;
 
 use crate::error::ArtifactError;
@@ -36,7 +36,8 @@ pub struct DbParts<'a> {
     pub config: PipelineConfig,
     /// Sharding parameters.
     pub spec: SpecParams,
-    /// Per-shard engine kind.
+    /// The engine every shard runs; must equal `sharded.kind()`. The
+    /// reason it was chosen comes from `sharded.selection()`.
     pub engine: EngineKind,
     /// Canonical ANML of the source (untransformed) automaton.
     pub source_anml: &'a str,
@@ -59,23 +60,22 @@ pub struct CompiledDb {
     pub config: PipelineConfig,
     /// Sharding parameters.
     pub spec: SpecParams,
-    /// Per-shard engine kind.
-    pub engine: EngineKind,
     /// Canonical ANML of the source automaton.
     pub source_anml: String,
     /// The transformed (executable) automaton.
     pub nfa: Nfa,
     /// Report-position fold back to original-symbol coordinates.
     pub map: PositionMap,
-    /// The compiled sharded engine.
+    /// The compiled sharded engine (its `selection()` is the engine the
+    /// request resolved to).
     pub sharded: ShardedEngine,
 }
 
 impl CompiledDb {
     /// Compiles `source` under `(config, spec, engine)` into a
-    /// persistable pipeline. For the dense engine kind the per-shard
-    /// dense matrices are built eagerly so the database carries them;
-    /// other kinds persist dense tables only if already materialized.
+    /// persistable pipeline. The engine request is resolved here, once
+    /// (see `sunder_sim::select`); a dense selection builds the dense
+    /// matrices so the database carries them.
     ///
     /// # Errors
     ///
@@ -84,23 +84,18 @@ impl CompiledDb {
         source: &Nfa,
         config: PipelineConfig,
         spec: SpecParams,
-        engine: EngineKind,
+        engine: impl Into<EngineChoice>,
     ) -> Result<CompiledDb, ArtifactError> {
+        let choice = engine.into();
         let source_anml = anml::serialize(source);
-        let key = db_key(source, config, &spec, engine);
+        let key = db_key(source, config, &spec, choice);
         let (nfa, map) = config.apply(source)?;
         let plan = spec.apply(&nfa)?;
-        let sharded = ShardedEngine::from_plan(&nfa, plan, engine);
-        if engine == EngineKind::Dense {
-            for shard in 0..sharded.num_shards() {
-                sharded.ensure_dense(shard);
-            }
-        }
+        let sharded = ShardedEngine::from_plan(&nfa, plan, choice);
         Ok(CompiledDb {
             key,
             config,
             spec,
-            engine,
             source_anml,
             nfa,
             map,
@@ -114,7 +109,7 @@ impl CompiledDb {
             key: self.key,
             config: self.config,
             spec: self.spec,
-            engine: self.engine,
+            engine: self.sharded.kind(),
             source_anml: &self.source_anml,
             nfa: &self.nfa,
             map: self.map,
@@ -288,9 +283,15 @@ fn dense_sections(shard: u32, tables: &DenseTables, out: &mut Vec<(SectionKind, 
 pub fn db_bytes(parts: &DbParts) -> Vec<u8> {
     let plan = parts.sharded.plan();
     let (spec_tag, spec_value, oversize_tag) = parts.spec.tags();
+    let selection = parts.sharded.selection();
+    debug_assert_eq!(
+        parts.engine, selection.kind,
+        "DbParts engine is the selected kind"
+    );
     let meta = GlobalMeta {
         config_tag: config_tag(parts.config),
-        engine_tag: engine_tag(parts.engine),
+        engine_tag: engine_tag(selection.kind),
+        select_reason: u64::from(selection.reason.code()),
         spec_tag,
         spec_value,
         oversize_tag,
@@ -321,11 +322,7 @@ pub fn db_bytes(parts: &DbParts) -> Vec<u8> {
     for s in 0..plan.num_shards() {
         let shard = &plan.shards[s];
         let sparse = Arc::clone(parts.sharded.shard_sparse(s));
-        let dense = if parts.engine == EngineKind::Dense {
-            Some(parts.sharded.ensure_dense(s))
-        } else {
-            parts.sharded.shard_dense(s)
-        };
+        let dense = parts.sharded.shard_dense(s).cloned();
         let idx = s as u32;
         sections.push((
             SectionKind::ShardNfa,

@@ -1,5 +1,5 @@
-//! Criterion benches of the three functional engines (sparse frontier,
-//! dense bit-parallel, adaptive) across representative benchmarks from
+//! Criterion benches of the two functional engines (sparse frontier,
+//! dense bit-parallel) across representative benchmarks from
 //! the suite: a hot mesh (Hamming), a hot rule set (Snort), and a cold
 //! exact-match set where the sparse engine should keep its edge. (For the
 //! full 19-benchmark sweep with trace verification and the JSON summary,

@@ -1,8 +1,9 @@
-//! Engine comparison sweep: runs the full 19-benchmark suite on all three
-//! functional engines (sparse, dense bit-parallel, adaptive) under the
-//! panic-isolating supervisor, verifies that every engine produces a
-//! byte-identical report trace, measures per-engine throughput, and
-//! writes a machine-readable summary to `BENCH_engine.json`.
+//! Engine comparison sweep: runs the full 19-benchmark suite on both
+//! functional engines (sparse, dense bit-parallel) under the
+//! panic-isolating supervisor, verifies that both produce a
+//! byte-identical report trace, measures per-engine throughput, records
+//! the compile-time selector's pick and reason, and writes a
+//! machine-readable summary to `BENCH_engine.json`.
 //!
 //! Usage: `cargo run -p sunder-bench --release --bin suite
 //! [--small | --paper] [--workers N] [--out PATH] [--runs N]
@@ -52,7 +53,7 @@ fn run() -> Result<u8, BenchError> {
     };
 
     progress(&format!(
-        "Engine suite: {} benchmarks x 3 engines ({scale_name} scale, {} workers{})",
+        "Engine suite: {} benchmarks x 2 engines ({scale_name} scale, {} workers{})",
         benches.len(),
         opts.workers,
         if opts.plan.is_empty() {

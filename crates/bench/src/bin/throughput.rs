@@ -17,7 +17,7 @@
 //! scrape overhead.
 //!
 //! Defaults: small scale, 8 streams, shards 1,4,8, workers 1,2,4,8,
-//! nibble pipeline, adaptive engine, wall floor 0.85.
+//! nibble pipeline, `auto` engine, wall floor 0.85.
 //!
 //! The gated metric is `mbps_wall`: per benchmark, the observed
 //! wall-clock speedup of the widest point (max workers) over the

@@ -1,8 +1,9 @@
 //! The supervised engine-comparison suite (library form of the `suite`
 //! binary).
 //!
-//! Runs every benchmark of the 19-benchmark suite on all three functional
-//! engines, verifies trace equality, measures throughput, and — unlike a
+//! Runs every benchmark of the 19-benchmark suite on both functional
+//! engines, verifies trace equality, measures throughput, records which
+//! engine the compile-time selector picks (and why), and — unlike a
 //! plain parallel map — runs every benchmark under the
 //! `sunder-resilience` supervisor: a panicking, stalling, or failing
 //! benchmark becomes a structured row in the report (with attribution)
@@ -30,7 +31,7 @@ use sunder_resilience::{
     JobValue, SupervisorPolicy, SupervisorSummary,
 };
 use sunder_sim::{
-    AdaptiveEngine, AdaptiveLimits, Engine, EngineKind, NullSink, RunOutcome, TraceSink,
+    EngineChoice, EngineKind, NullSink, RunOutcome, SelectLimits, Selection, TraceSink,
 };
 use sunder_transform::{transform_to_rate, Rate};
 use sunder_workloads::{Benchmark, Scale, Workload};
@@ -38,7 +39,7 @@ use sunder_workloads::{Benchmark, Scale, Workload};
 use crate::args::OnlyFilter;
 use crate::table::TextTable;
 
-/// One benchmark's results across the three engines.
+/// One benchmark's results across the two engines.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuiteRow {
     /// Benchmark name.
@@ -51,11 +52,29 @@ pub struct SuiteRow {
     pub reports: usize,
     /// Best-of-runs ns per engine, indexed like [`EngineKind::ALL`].
     /// All zero when timing was skipped (`runs == 0`).
-    pub ns: [u64; 3],
+    pub ns: [u64; 2],
+    /// The engine the compile-time selector picks for this automaton.
+    pub selected: Selection,
     /// Mean active states per cycle (frontier density).
     pub avg_active: f64,
-    /// Whether all three engines produced byte-identical traces.
+    /// Whether both engines produced byte-identical traces.
     pub traces_equal: bool,
+}
+
+impl SuiteRow {
+    /// Best-of-runs ns of the selected engine.
+    pub fn selected_ns(&self) -> u64 {
+        match self.selected.kind {
+            EngineKind::Sparse => self.ns[0],
+            EngineKind::Dense => self.ns[1],
+        }
+    }
+
+    /// Whether the selector picked the engine that measured faster (ties
+    /// count as agreement). Meaningless when timing was skipped.
+    pub fn selector_agrees(&self) -> bool {
+        self.selected_ns() <= self.ns[0].min(self.ns[1])
+    }
 }
 
 /// Suite configuration.
@@ -229,7 +248,7 @@ fn machine_telemetry_stage(
     machine.export_telemetry(bench.name());
 }
 
-/// Runs one benchmark through all three engines under `ctx`'s budget,
+/// Runs one benchmark through both engines under `ctx`'s budget,
 /// acting out any faults the plan assigns to this item.
 fn run_benchmark(
     bench: &Benchmark,
@@ -277,26 +296,21 @@ fn run_benchmark(
     let input = InputView::new(&w.input, 8, 1)
         .map_err(|e| JobError::Fatal(format!("build byte view: {e}")))?;
 
-    // Correctness first: all three engines must emit identical traces.
-    // The injected dense-build failure degrades the adaptive engine to
-    // sparse execution — the trace must STILL be identical.
+    // The compile-time selection. An injected dense-build failure makes
+    // the selector fall back to sparse (a degraded row); the traces below
+    // cover both engines either way.
+    let limits = SelectLimits {
+        fail_dense_build,
+        ..SelectLimits::default()
+    };
+    let selected = sunder_sim::select(&w.nfa, EngineChoice::Auto, &limits);
+
+    // Correctness first: both engines must emit identical traces.
     let mut traces = Vec::new();
-    let mut degrade_note: Option<String> = None;
     for kind in EngineKind::ALL {
         let mut sink = TraceSink::new();
-        let outcome = if kind == EngineKind::Adaptive && fail_dense_build {
-            let limits = AdaptiveLimits {
-                fail_dense_build: true,
-                ..AdaptiveLimits::default()
-            };
-            let mut engine = AdaptiveEngine::with_limits(&w.nfa, limits);
-            let outcome = Engine::run_budgeted(&mut engine, &input, &mut sink, &ctx.budget);
-            degrade_note = engine.degrade_reason().map(|r| r.to_string());
-            outcome
-        } else {
-            let mut engine = kind.build(&w.nfa);
-            engine.run_budgeted(&input, &mut sink, &ctx.budget)
-        };
+        let mut engine = kind.build(&w.nfa);
+        let outcome = engine.run_budgeted(&input, &mut sink, &ctx.budget);
         if let RunOutcome::Interrupted { reason, .. } = outcome {
             return match reason {
                 sunder_sim::StopReason::DeadlineExpired => Err(JobError::TimedOut),
@@ -335,13 +349,9 @@ fn run_benchmark(
         best
     };
     let ns = if opts.runs == 0 {
-        [0; 3]
+        [0; 2]
     } else {
-        [
-            time_engine(EngineKind::Sparse),
-            time_engine(EngineKind::Dense),
-            time_engine(EngineKind::Adaptive),
-        ]
+        EngineKind::ALL.map(time_engine)
     };
 
     let row = SuiteRow {
@@ -350,6 +360,7 @@ fn run_benchmark(
         input_bytes: w.input.len(),
         reports: traces[0].len(),
         ns,
+        selected,
         avg_active,
         traces_equal,
     };
@@ -360,9 +371,11 @@ fn run_benchmark(
         sunder_telemetry::counter_add("suite_cycles_total", &labels, row.input_bytes as u64);
         machine_telemetry_stage(bench, &w, opts, index);
     }
-    match degrade_note {
-        Some(reason) => Ok(JobValue::Degraded { value: row, reason }),
-        None => Ok(JobValue::Ok(row)),
+    if selected.is_degraded() {
+        let reason = format!("engine selector fell back to sparse: {}", selected.reason);
+        Ok(JobValue::Degraded { value: row, reason })
+    } else {
+        Ok(JobValue::Ok(row))
     }
 }
 
@@ -434,12 +447,11 @@ fn render_job_json(job: &JobReport<SuiteRow>) -> String {
                 _ => String::new(),
             };
             let speedup_dense = r.ns[0] as f64 / r.ns[1].max(1) as f64;
-            let speedup_adaptive = r.ns[0] as f64 / r.ns[2].max(1) as f64;
             format!(
                 "{{\"name\": \"{}\", \"status\": \"{status}\", \"states\": {}, \
                  \"input_bytes\": {}, \"reports\": {}, \"avg_active\": {:.2}, \
-                 \"sparse_ns\": {}, \"dense_ns\": {}, \"adaptive_ns\": {}, \
-                 \"speedup_dense\": {:.3}, \"speedup_adaptive\": {:.3}, \
+                 \"sparse_ns\": {}, \"dense_ns\": {}, \"speedup_dense\": {:.3}, \
+                 \"selected\": \"{}\", \"selected_ns\": {}, \"reason\": \"{}\", \
                  \"traces_equal\": {}{detail}}}",
                 r.name,
                 r.states,
@@ -448,9 +460,10 @@ fn render_job_json(job: &JobReport<SuiteRow>) -> String {
                 r.avg_active,
                 r.ns[0],
                 r.ns[1],
-                r.ns[2],
                 speedup_dense,
-                speedup_adaptive,
+                r.selected.kind,
+                r.selected_ns(),
+                r.selected.reason,
                 r.traces_equal,
             )
         }
@@ -482,7 +495,7 @@ pub fn render_json(report: &SuiteReport) -> String {
     out.push_str("{\n");
     out.push_str(&format!("  \"scale\": \"{}\",\n", report.scale_name));
     out.push_str(&format!("  \"workers\": {},\n", report.workers));
-    out.push_str("  \"engines\": [\"sparse\", \"dense\", \"adaptive\"],\n");
+    out.push_str("  \"engines\": [\"sparse\", \"dense\"],\n");
     let s = report.summary;
     out.push_str(&format!(
         "  \"summary\": {{\"ok\": {}, \"degraded\": {}, \"panicked\": {}, \
@@ -512,9 +525,9 @@ pub fn render_table(report: &SuiteReport) -> String {
         "AvgActive",
         "Sparse ms",
         "Dense ms",
-        "Adaptive ms",
         "Dense x",
-        "Adaptive x",
+        "Selected",
+        "Reason",
         "TraceEq",
     ]);
     for job in &report.jobs {
@@ -526,9 +539,9 @@ pub fn render_table(report: &SuiteReport) -> String {
                 format!("{:.1}", r.avg_active),
                 format!("{:.2}", r.ns[0] as f64 / 1e6),
                 format!("{:.2}", r.ns[1] as f64 / 1e6),
-                format!("{:.2}", r.ns[2] as f64 / 1e6),
                 format!("{:.2}", r.ns[0] as f64 / r.ns[1].max(1) as f64),
-                format!("{:.2}", r.ns[0] as f64 / r.ns[2].max(1) as f64),
+                r.selected.kind.to_string(),
+                r.selected.reason.to_string(),
                 format!("{}", r.traces_equal),
             ]),
             None => table.row([
@@ -552,14 +565,9 @@ pub fn render_table(report: &SuiteReport) -> String {
         .filter_map(|j| j.outcome.value())
         .collect();
     if !survivors.is_empty() && survivors.iter().all(|r| r.ns[0] > 0) {
-        let gmean = survivors
-            .iter()
-            .map(|r| (r.ns[0] as f64 / r.ns[2].max(1) as f64).ln())
-            .sum::<f64>()
-            / survivors.len() as f64;
+        let agree = survivors.iter().filter(|r| r.selector_agrees()).count();
         out.push_str(&format!(
-            "\nAdaptive geomean speedup over sparse: {:.2}x ({} benchmarks)",
-            gmean.exp(),
+            "\nSelector picked the faster engine on {agree} of {} benchmarks",
             survivors.len()
         ));
     }
@@ -598,7 +606,7 @@ mod tests {
         // Deterministic rows: ns stays zero with runs == 0.
         for job in &report.jobs {
             let row = job.outcome.value().expect("all ok");
-            assert_eq!(row.ns, [0; 3]);
+            assert_eq!(row.ns, [0; 2]);
         }
     }
 

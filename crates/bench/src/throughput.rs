@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use sunder_oracle::PipelineConfig;
 use sunder_shard::{verify_stream, BatchOptions, BatchService, ShardSpec};
-use sunder_sim::EngineKind;
+use sunder_sim::EngineChoice;
 use sunder_workloads::Scale;
 
 use crate::args::OnlyFilter;
@@ -58,8 +58,8 @@ pub struct ThroughputOptions {
     pub worker_counts: Vec<usize>,
     /// Pipeline configuration every point compiles under.
     pub config: PipelineConfig,
-    /// Per-shard engine kind.
-    pub engine: EngineKind,
+    /// Engine request (`auto` resolves per compiled pipeline).
+    pub engine: EngineChoice,
     /// Timing passes per point (best-of).
     pub runs: u32,
     /// Benchmark filter; empty runs the whole suite.
@@ -78,7 +78,7 @@ impl Default for ThroughputOptions {
             shard_counts: vec![1, 4, 8],
             worker_counts: vec![1, 2, 4, 8],
             config: PipelineConfig::Nibble,
-            engine: EngineKind::Adaptive,
+            engine: EngineChoice::Auto,
             runs: 1,
             only: Vec::new(),
             wall_floor: None,
@@ -179,7 +179,7 @@ pub struct ThroughputReport {
     pub scale_name: String,
     /// Pipeline configuration name.
     pub config: &'static str,
-    /// Per-shard engine name.
+    /// Engine request name.
     pub engine: &'static str,
     /// Streams per batch.
     pub streams: usize,

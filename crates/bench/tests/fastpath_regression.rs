@@ -1,52 +1,15 @@
 //! Regression locks for the single-stream fast path.
 //!
-//! Two behaviors pinned here were observable bugs before the fast path
-//! landed: the adaptive selector used to take a *losing* dense switch on
-//! Brill (the dense twin is ~6x slower per cycle there, yet the old
-//! cost-model fit — calibrated against the slower pre-fast-path sparse
-//! engine — modeled it as a win), and the prefilter's skip accounting is
-//! the foundation of the suite's wall-clock numbers, so its telemetry
-//! counter must agree with a hand-computed input exactly.
+//! The prefilter's skip accounting is the foundation of the suite's
+//! wall-clock numbers, so its telemetry counter must agree with a
+//! hand-computed input exactly.
 //!
 //! The telemetry test owns the process-global recorder; keep it the only
 //! test in this binary that calls `sunder_telemetry::init`.
 
 use sunder_automata::regex::compile_regex;
 use sunder_automata::InputView;
-use sunder_sim::{AdaptiveEngine, EngineKind, Simulator, TraceSink};
-use sunder_workloads::{Benchmark, Scale};
-
-/// Brill is sparse-friendly: moderate frontier (avg ≈ 1.3 active states)
-/// against a 1263-state automaton whose dense state vector is 20 words.
-/// The refitted cost model must keep the adaptive engine sparse for the
-/// whole run — before the refit it entered dense and ran ~4x slower
-/// than the sparse engine on the same input.
-#[test]
-fn brill_adaptive_never_takes_a_losing_dense_switch() {
-    let w = Benchmark::Brill.build(Scale::small());
-    let view = InputView::new(&w.input, w.nfa.symbol_bits(), w.nfa.stride()).expect("framing");
-
-    let mut adaptive = AdaptiveEngine::new(&w.nfa);
-    let mut adaptive_trace = TraceSink::new();
-    adaptive.run(&view, &mut adaptive_trace);
-    assert_eq!(
-        adaptive.switch_count(),
-        0,
-        "the cost model must never model Brill's 20-word dense step as \
-         cheaper than its ~1.3-candidate sparse step"
-    );
-    assert!(adaptive.degrade_reason().is_none());
-
-    // Staying sparse must not be a trace-visible decision.
-    let mut sparse = Simulator::new(&w.nfa);
-    let mut sparse_trace = TraceSink::new();
-    sparse.run(&view, &mut sparse_trace);
-    assert_eq!(adaptive_trace.events, sparse_trace.events);
-    assert!(
-        !adaptive_trace.events.is_empty(),
-        "Brill must actually report, or the equality above is vacuous"
-    );
-}
+use sunder_sim::{EngineKind, TraceSink};
 
 /// The `prefilter_skipped_total` counter must match the same hand
 /// simulation that pins `Simulator::prefilter_skipped`, and the

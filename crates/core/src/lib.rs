@@ -50,8 +50,8 @@ pub enum ExecBackend {
     /// stalls — the full architecture model. The default.
     #[default]
     CycleAccurate,
-    /// A functional engine from `sunder-sim` (sparse, dense bit-parallel,
-    /// or adaptive): same reports, no microarchitectural bookkeeping.
+    /// A functional engine from `sunder-sim` (sparse or dense
+    /// bit-parallel): same reports, no microarchitectural bookkeeping.
     /// Orders of magnitude faster for report-trace collection.
     Functional(EngineKind),
 }
@@ -147,8 +147,8 @@ impl EngineBuilder {
     }
 
     /// Selects the execution backend (default: the cycle-accurate
-    /// machine). `ExecBackend::Functional(EngineKind::Adaptive)` runs the
-    /// density-adaptive functional engine instead.
+    /// machine). `ExecBackend::Functional(EngineKind::Dense)` runs the
+    /// bit-parallel functional engine instead.
     pub fn backend(mut self, backend: ExecBackend) -> Self {
         self.backend = backend;
         self

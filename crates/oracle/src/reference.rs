@@ -2,7 +2,7 @@
 //! original automaton.
 //!
 //! Everything else in this repository that *executes* automata — the
-//! sparse, dense, and adaptive engines, and the cycle-level machine —
+//! sparse and dense engines, and the cycle-level machine —
 //! shares `sunder-sim`'s three-stage NFA cycle model, so a bug in that
 //! shared semantics (or in the transformations feeding it) would pass
 //! every differential test the engines run against each other. This

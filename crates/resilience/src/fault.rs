@@ -49,8 +49,8 @@ pub enum FaultKind {
         /// Sleep duration in milliseconds.
         millis: u64,
     },
-    /// The dense table build "fails" as if allocation were denied,
-    /// forcing the adaptive engine down its sparse fallback.
+    /// The dense table build "fails" as if allocation were denied, so
+    /// the compile-time engine selector falls back to sparse.
     DenseBuildFailure,
     /// The job's input bytes are deterministically corrupted before
     /// execution (seeded; see [`corrupt`]).

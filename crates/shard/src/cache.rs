@@ -34,7 +34,7 @@ use sunder_artifact::{DbParts, LoadedPipeline, MappedDb, SpecParams};
 use sunder_automata::partition::{partition, partition_into, PartitionOptions, ShardPlan};
 use sunder_automata::{anml, AutomataError, Nfa};
 use sunder_oracle::PipelineConfig;
-use sunder_sim::{EngineKind, ShardedEngine};
+use sunder_sim::{EngineChoice, Selection, ShardedEngine};
 use sunder_transform::PositionMap;
 
 /// How a cached pipeline is sharded.
@@ -109,13 +109,16 @@ fn fnv1a(parts: &[&str]) -> u64 {
 }
 
 /// Computes the content-addressed key for (automaton, config, sharding,
-/// engine). Exposed so artifacts can be correlated across processes.
+/// engine request). Exposed so artifacts can be correlated across
+/// processes. The key covers the request (`auto`, `sparse` or `dense`),
+/// not the engine `auto` resolves to, so it is known before compiling.
 pub fn pipeline_key(
     nfa: &Nfa,
     config: PipelineConfig,
     spec: ShardSpec,
-    engine: EngineKind,
+    engine: impl Into<EngineChoice>,
 ) -> PipelineKey {
+    let engine = engine.into();
     PipelineKey(fnv1a(&[
         config.name(),
         &spec.key_text(),
@@ -142,7 +145,9 @@ pub struct CompiledPipeline {
 }
 
 impl CompiledPipeline {
-    /// Compiles `nfa` under `config`, shards per `spec`, without caching.
+    /// Compiles `nfa` under `config`, shards per `spec`, and resolves
+    /// the engine request once (see `sunder_sim::select`), without
+    /// caching.
     ///
     /// # Errors
     ///
@@ -151,8 +156,9 @@ impl CompiledPipeline {
         nfa: &Nfa,
         config: PipelineConfig,
         spec: ShardSpec,
-        engine: EngineKind,
+        engine: impl Into<EngineChoice>,
     ) -> Result<CompiledPipeline, AutomataError> {
+        let engine = engine.into();
         let key = pipeline_key(nfa, config, spec, engine);
         let (transformed, map) = config.apply(nfa)?;
         let plan = spec.apply(&transformed)?;
@@ -169,6 +175,11 @@ impl CompiledPipeline {
     /// Number of shards in the compiled plan.
     pub fn num_shards(&self) -> usize {
         self.sharded.num_shards()
+    }
+
+    /// The engine the pipeline runs, and why it was chosen.
+    pub fn selection(&self) -> Selection {
+        self.sharded.selection()
     }
 }
 
@@ -191,7 +202,7 @@ impl From<LoadedPipeline> for CompiledPipeline {
 #[derive(Debug)]
 pub struct PipelineCache {
     spec: ShardSpec,
-    engine: EngineKind,
+    engine: EngineChoice,
     entries: Mutex<HashMap<u64, Arc<CompiledPipeline>>>,
     /// Artifact directory for the disk tier; `None` keeps the cache
     /// memory-only.
@@ -206,15 +217,17 @@ pub struct PipelineCache {
         sunder_telemetry::CounterHandle,
         sunder_telemetry::CounterHandle,
     ); PipelineConfig::ALL.len()],
+    /// The `pipeline_engine_info` series last set to 1.
+    engine_info: Mutex<Option<sunder_telemetry::GaugeHandle>>,
 }
 
 impl PipelineCache {
-    /// An empty cache compiling with the given sharding spec and
-    /// per-shard engine kind.
-    pub fn new(spec: ShardSpec, engine: EngineKind) -> PipelineCache {
+    /// An empty cache compiling with the given sharding spec and engine
+    /// request.
+    pub fn new(spec: ShardSpec, engine: impl Into<EngineChoice>) -> PipelineCache {
         PipelineCache {
             spec,
-            engine,
+            engine: engine.into(),
             entries: Mutex::new(HashMap::new()),
             disk: None,
             hits: AtomicU64::new(0),
@@ -227,6 +240,7 @@ impl PipelineCache {
                     sunder_telemetry::counter_handle("pipeline_cache_misses_total", &labels),
                 )
             }),
+            engine_info: Mutex::new(None),
         }
     }
 
@@ -237,7 +251,7 @@ impl PipelineCache {
     /// memory-only behavior (compilation is always the fallback).
     pub fn with_disk(
         spec: ShardSpec,
-        engine: EngineKind,
+        engine: impl Into<EngineChoice>,
         dir: impl Into<PathBuf>,
     ) -> PipelineCache {
         let dir = dir.into();
@@ -274,7 +288,7 @@ impl PipelineCache {
         };
         // The loader proved the content hash; this guards the *file
         // name* (a db renamed to the wrong key, or parameters drifting
-        // from the cache's own spec/engine).
+        // from the cache's own spec/engine request).
         if mapped.key() != key.0 {
             return None;
         }
@@ -290,7 +304,7 @@ impl PipelineCache {
             key: compiled.key.0,
             config: compiled.config,
             spec: self.spec.params(),
-            engine: self.engine,
+            engine: compiled.sharded.kind(),
             source_anml,
             nfa: &compiled.nfa,
             map: compiled.map,
@@ -324,18 +338,47 @@ impl PipelineCache {
         self.spec
     }
 
-    /// The per-shard engine kind used for compilation.
-    pub fn engine(&self) -> EngineKind {
+    /// The engine request used for compilation.
+    pub fn engine(&self) -> EngineChoice {
         self.engine
     }
 
+    /// Publishes `pipeline_engine_info{engine,reason}`: 1 for
+    /// `selection`, 0 for the series published before it. The cache
+    /// calls this for every pipeline it hands out; a server calls it
+    /// again when it adopts a pipeline from elsewhere (an `.sdb` reload).
+    pub(crate) fn publish_selection(&self, selection: Selection) {
+        let handle = sunder_telemetry::gauge_handle(
+            "pipeline_engine_info",
+            &[
+                ("engine", selection.kind.name()),
+                ("reason", selection.reason.name()),
+            ],
+        );
+        let mut last = self.engine_info.lock().unwrap();
+        if let Some(prev) = last.replace(handle.clone()) {
+            prev.set(0.0);
+        }
+        handle.set(1.0);
+    }
+
     /// Returns the cached pipeline for (automaton, config), compiling
-    /// and inserting it on a miss.
+    /// and inserting it on a miss, and publishes its engine selection.
     ///
     /// # Errors
     ///
     /// Propagates compilation failures (nothing is cached on error).
     pub fn get_or_compile(
+        &self,
+        nfa: &Nfa,
+        config: PipelineConfig,
+    ) -> Result<Arc<CompiledPipeline>, AutomataError> {
+        let pipeline = self.lookup(nfa, config)?;
+        self.publish_selection(pipeline.selection());
+        Ok(pipeline)
+    }
+
+    fn lookup(
         &self,
         nfa: &Nfa,
         config: PipelineConfig,
@@ -413,9 +456,10 @@ impl PipelineCache {
 mod tests {
     use super::*;
     use sunder_automata::regex::compile_rule_set;
+    use sunder_sim::EngineKind;
 
     fn cache() -> PipelineCache {
-        PipelineCache::new(ShardSpec::MaxShards(4), EngineKind::Adaptive)
+        PipelineCache::new(ShardSpec::MaxShards(4), EngineChoice::Auto)
     }
 
     #[test]
@@ -452,7 +496,7 @@ mod tests {
         assert_eq!(c.misses(), 4);
         let keys: std::collections::HashSet<u64> = PipelineConfig::ALL
             .iter()
-            .map(|&cfg| pipeline_key(&nfa, cfg, ShardSpec::MaxShards(4), EngineKind::Adaptive).0)
+            .map(|&cfg| pipeline_key(&nfa, cfg, ShardSpec::MaxShards(4), EngineChoice::Auto).0)
             .collect();
         assert_eq!(keys.len(), 4, "keys must not collide across configs");
     }
@@ -472,13 +516,13 @@ mod tests {
         // key are bit-identical — pin the cross-crate contract.
         let nfa = compile_rule_set(&["ab+c", ".*net"]).unwrap();
         for (spec, engine) in [
-            (ShardSpec::MaxShards(3), EngineKind::Sparse),
+            (ShardSpec::MaxShards(3), EngineKind::Sparse.into()),
             (
                 ShardSpec::Budget(PartitionOptions {
                     ste_budget: 64,
                     oversize: sunder_automata::partition::OversizePolicy::Dedicate,
                 }),
-                EngineKind::Adaptive,
+                EngineChoice::Auto,
             ),
         ] {
             for config in PipelineConfig::ALL {
@@ -522,6 +566,20 @@ mod tests {
         let c = c2.get_or_compile(&nfa, PipelineConfig::Nibble).unwrap();
         assert!(Arc::ptr_eq(&b, &c));
         assert_eq!(c2.hits(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn disk_tier_keeps_an_auto_selection() {
+        let dir = temp_dir("auto");
+        let nfa = compile_rule_set(&[".*a.*b", ".*c.*d", ".*e"]).unwrap();
+        let c1 = PipelineCache::with_disk(ShardSpec::MaxShards(1), EngineChoice::Auto, &dir);
+        let a = c1.get_or_compile(&nfa, PipelineConfig::Identity).unwrap();
+        assert_eq!(a.selection().kind, EngineKind::Dense);
+        let c2 = PipelineCache::with_disk(ShardSpec::MaxShards(1), EngineChoice::Auto, &dir);
+        let b = c2.get_or_compile(&nfa, PipelineConfig::Identity).unwrap();
+        assert_eq!(c2.disk_hits(), 1, "must map, not compile");
+        assert_eq!(a.selection(), b.selection());
         std::fs::remove_dir_all(&dir).ok();
     }
 

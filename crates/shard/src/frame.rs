@@ -311,8 +311,22 @@ pub fn decode_server(body: &[u8]) -> Result<ServerFrame, FrameError> {
     }
 }
 
+/// The length prefix of a frame carrying `payload_len` payload bytes (the
+/// opcode counts too), or an error when it does not fit the `u32` prefix.
+fn frame_len(payload_len: usize) -> std::io::Result<u32> {
+    payload_len
+        .checked_add(1)
+        .and_then(|len| u32::try_from(len).ok())
+        .ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("frame payload of {payload_len} bytes exceeds the u32 length prefix"),
+            )
+        })
+}
+
 fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> std::io::Result<()> {
-    let len = 1 + payload.len() as u32;
+    let len = frame_len(payload.len())?;
     w.write_all(&len.to_be_bytes())?;
     w.write_all(&[opcode])?;
     w.write_all(payload)
@@ -389,6 +403,15 @@ impl ServerFrame {
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    #[test]
+    fn frame_length_is_checked_not_truncated() {
+        assert_eq!(frame_len(0).unwrap(), 1);
+        assert_eq!(frame_len(u32::MAX as usize - 1).unwrap(), u32::MAX);
+        let err = frame_len(u32::MAX as usize).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(frame_len(usize::MAX).is_err());
+    }
 
     fn round_trip_client(frame: ClientFrame) {
         let mut buf = Vec::new();

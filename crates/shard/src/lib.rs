@@ -24,9 +24,9 @@
 //! use sunder_automata::regex::compile_rule_set;
 //! use sunder_oracle::PipelineConfig;
 //! use sunder_shard::{BatchOptions, BatchService, ShardSpec};
-//! use sunder_sim::EngineKind;
+//! use sunder_sim::EngineChoice;
 //!
-//! let service = BatchService::new(ShardSpec::MaxShards(4), EngineKind::Adaptive);
+//! let service = BatchService::new(ShardSpec::MaxShards(4), EngineChoice::Auto);
 //! let nfa = compile_rule_set(&["ab+c", "[0-9]{3}"])?;
 //! let streams = vec![b"zabbc 007".to_vec(), b"123 abc".to_vec()];
 //! let report = service.submit(
@@ -69,7 +69,7 @@ use std::sync::Arc;
 use sunder_automata::input::InputView;
 use sunder_automata::{AutomataError, Nfa};
 use sunder_oracle::PipelineConfig;
-use sunder_sim::{EngineKind, ReportEvent, TraceSink};
+use sunder_sim::{EngineChoice, EngineKind, ReportEvent, TraceSink};
 
 /// A long-lived batch service: one pipeline cache, many submissions.
 ///
@@ -84,8 +84,8 @@ pub struct BatchService {
 
 impl BatchService {
     /// A service compiling pipelines with the given sharding spec and
-    /// per-shard engine kind.
-    pub fn new(spec: ShardSpec, engine: EngineKind) -> BatchService {
+    /// engine request.
+    pub fn new(spec: ShardSpec, engine: impl Into<EngineChoice>) -> BatchService {
         BatchService {
             cache: PipelineCache::new(spec, engine),
             pool: None,
@@ -95,7 +95,11 @@ impl BatchService {
     /// Like [`BatchService::new`], plus a persistent pool of `helpers`
     /// worker threads shared by all submissions (the submitting thread
     /// itself is always worker 0, so up to `helpers + 1` workers run).
-    pub fn with_pool(spec: ShardSpec, engine: EngineKind, helpers: usize) -> BatchService {
+    pub fn with_pool(
+        spec: ShardSpec,
+        engine: impl Into<EngineChoice>,
+        helpers: usize,
+    ) -> BatchService {
         BatchService {
             cache: PipelineCache::new(spec, engine),
             pool: Some(WorkerPool::new(helpers)),
@@ -204,7 +208,7 @@ mod tests {
 
     #[test]
     fn service_caches_across_submissions_and_verifies() {
-        let service = BatchService::new(ShardSpec::MaxShards(3), EngineKind::Adaptive);
+        let service = BatchService::new(ShardSpec::MaxShards(3), EngineChoice::Auto);
         let nfa = compile_rule_set(&["ab", ".*xy", "[0-9]{2}"]).unwrap();
         let streams = vec![b"ab 12 xy".to_vec(), b"zzabzz".to_vec()];
         for round in 0..3 {

@@ -10,8 +10,9 @@
 //! * `GET /readyz` — readiness: `200 ready epoch=N`, or `503` while the
 //!   server is draining or a hot reload is compiling the next epoch;
 //! * `GET /statusz` — a JSON document ([`status_json`]): live sessions,
-//!   per-tenant quota usage, queue depth, cache hit rate, DB epoch, and
-//!   per-tenant latency quantiles. The stdin `status` command of
+//!   per-tenant quota usage, queue depth, cache hit rate, DB epoch, the
+//!   serving pipeline (config, selected engine and why, shard count),
+//!   and per-tenant latency quantiles. The stdin `status` command of
 //!   `sunder serve` prints the *same* document — one source of truth.
 //!
 //! The listener is plain `std::net`: a nonblocking accept loop on its
@@ -234,6 +235,9 @@ pub(crate) fn status_json(inner: &ServerInner) -> Json {
         .collect();
     tenants.sort();
 
+    let pipeline = Arc::clone(&inner.db.lock().unwrap().pipeline);
+    let selection = pipeline.selection();
+
     let snap = sunder_telemetry::snapshot();
     let mut latency = Vec::new();
     let mut slo = Vec::new();
@@ -328,6 +332,20 @@ pub(crate) fn status_json(inner: &ServerInner) -> Json {
                 ("hit_rate".into(), Json::Num(hit_rate)),
             ]),
         ),
+        (
+            "pipeline".into(),
+            Json::Obj(vec![
+                ("config".into(), Json::Str(pipeline.config.name().into())),
+                ("engine".into(), Json::Str(selection.kind.name().into())),
+                ("reason".into(), Json::Str(selection.reason.name().into())),
+                (
+                    "request".into(),
+                    Json::Str(selection.choice().name().into()),
+                ),
+                ("shards".into(), Json::Num(pipeline.num_shards() as f64)),
+                ("states".into(), Json::Num(pipeline.nfa.num_states() as f64)),
+            ]),
+        ),
         ("latency_us".into(), Json::Obj(latency)),
         ("slo_violations".into(), Json::Obj(slo)),
     ])
@@ -410,6 +428,20 @@ mod tests {
                 .and_then(json::Json::as_u64),
             Some(0)
         );
+        // The pipeline block names the engine the compiler chose, why,
+        // and the shard count.
+        let pipeline = doc.get("pipeline").expect("pipeline block");
+        let engine = pipeline.get("engine").and_then(json::Json::as_str);
+        assert!(matches!(engine, Some("sparse" | "dense")), "{engine:?}");
+        assert!(pipeline
+            .get("reason")
+            .and_then(json::Json::as_str)
+            .is_some());
+        assert_eq!(
+            pipeline.get("request").and_then(json::Json::as_str),
+            Some("auto")
+        );
+        assert_eq!(pipeline.get("shards").and_then(json::Json::as_u64), Some(1));
 
         let (status, _) = http_get(obs, "/nope", timeout).unwrap();
         assert_eq!(status, 404);

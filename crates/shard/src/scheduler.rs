@@ -628,7 +628,7 @@ mod tests {
     use sunder_automata::regex::compile_rule_set;
     use sunder_oracle::PipelineConfig;
     use sunder_resilience::Fault;
-    use sunder_sim::EngineKind;
+    use sunder_sim::{EngineChoice, EngineKind};
 
     fn pipeline(config: PipelineConfig, shards: usize) -> CompiledPipeline {
         let nfa = compile_rule_set(&["ab+c", ".*net", "[0-9]{3}", "xy"]).unwrap();
@@ -636,7 +636,7 @@ mod tests {
             &nfa,
             config,
             ShardSpec::MaxShards(shards),
-            EngineKind::Adaptive,
+            EngineChoice::Auto,
         )
         .unwrap()
     }
@@ -679,7 +679,7 @@ mod tests {
         for s in &report.streams {
             let view =
                 InputView::new(&inputs[s.stream], p.nfa.symbol_bits(), p.nfa.stride()).unwrap();
-            let mut engine = EngineKind::Adaptive.build(&p.nfa);
+            let mut engine = EngineKind::Sparse.build(&p.nfa);
             let mut trace = TraceSink::new();
             engine.run(&view, &mut trace);
             assert_eq!(

@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use sunder_automata::{anml, AutomataError, Nfa};
 use sunder_oracle::PipelineConfig;
 use sunder_resilience::{Budget, CancelToken, FaultKind, FaultPlan};
-use sunder_sim::EngineKind;
+use sunder_sim::EngineChoice;
 
 use crate::cache::{PipelineCache, ShardSpec};
 use crate::frame::{
@@ -60,8 +60,8 @@ pub struct ServerConfig {
     pub config: PipelineConfig,
     /// Sharding spec for compiled pipelines.
     pub spec: ShardSpec,
-    /// Per-shard engine kind.
-    pub engine: EngineKind,
+    /// Engine request; `auto` is resolved once per compiled pipeline.
+    pub engine: EngineChoice,
     /// Global cap on concurrently open sessions (`ERR_BUSY` beyond it).
     pub max_sessions: usize,
     /// Per-tenant cap on concurrently open sessions (`ERR_QUOTA`).
@@ -99,8 +99,8 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             config: PipelineConfig::Identity,
-            spec: ShardSpec::MaxShards(4),
-            engine: EngineKind::Adaptive,
+            spec: ShardSpec::MaxShards(1),
+            engine: EngineChoice::Auto,
             max_sessions: 256,
             per_tenant_sessions: 64,
             queue_depth: 8,
@@ -270,9 +270,6 @@ impl MatchServer {
             .get_or_compile(nfa, cfg.config)
             .map_err(|e| format!("compile pattern DB: {e}"))?;
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set nonblocking: {e}"))?;
         let local = listener.local_addr().map_err(|e| e.to_string())?;
         let inner = Arc::new(ServerInner {
             cfg,
@@ -377,6 +374,9 @@ impl MatchServer {
         let started = Instant::now();
         let _span = sunder_telemetry::span("serve.drain");
         self.inner.draining.store(true, Ordering::Release);
+        if self.accept.is_some() {
+            wake_accept(self.addr);
+        }
         let deadline = started + self.inner.cfg.drain_deadline;
         let at_start = self.inner.active.load(Ordering::Acquire);
         while self.inner.active.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
@@ -448,14 +448,15 @@ fn reload_db_artifact(inner: &ServerInner, path: &std::path::Path) -> Result<u64
                 inner.cfg.spec.key_text()
             ));
         }
-        if mapped.engine() != inner.cfg.engine {
+        if mapped.selection().choice() != inner.cfg.engine {
             return Err(format!(
-                "artifact engine {} does not match server engine {}",
-                mapped.engine().name(),
-                inner.cfg.engine.name()
+                "artifact engine request {} does not match server engine {}",
+                mapped.selection().choice(),
+                inner.cfg.engine
             ));
         }
         let pipeline = Arc::new(crate::cache::CompiledPipeline::from(mapped.into_parts()));
+        inner.cache.publish_selection(pipeline.selection());
         let epoch = inner.next_epoch.fetch_add(1, Ordering::Relaxed);
         *inner.db.lock().unwrap() = Arc::new(LoadedDb { epoch, pipeline });
         sunder_telemetry::counter_add("serve_reloads_total", &[("source", "artifact")], 1);
@@ -482,8 +483,13 @@ fn reload_db(inner: &ServerInner, nfa: &Nfa) -> Result<u64, AutomataError> {
     result
 }
 
-/// Accepts until drain; returns the connection thread handles so drain
-/// can join them.
+/// Accepts until drain; returns the live connection thread handles so
+/// drain can join them.
+///
+/// `accept` blocks, so a new session is picked up as soon as it
+/// connects; [`wake_accept`] unblocks it when drain starts. Threads of
+/// closed connections are joined as new ones arrive, so the server
+/// holds threads (and their stacks) only for live connections.
 fn accept_loop(inner: &Arc<ServerInner>, listener: &TcpListener) -> Vec<JoinHandle<()>> {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     while !inner.is_draining() {
@@ -492,6 +498,12 @@ fn accept_loop(inner: &Arc<ServerInner>, listener: &TcpListener) -> Vec<JoinHand
                 if inner.is_draining() {
                     refuse(&sock, ERR_SHUTDOWN, "server is draining");
                     continue;
+                }
+                let (done, live): (Vec<_>, Vec<_>) =
+                    conns.into_iter().partition(JoinHandle::is_finished);
+                conns = live;
+                for handle in done {
+                    let _ = handle.join();
                 }
                 if inner.active.load(Ordering::Acquire) >= inner.cfg.max_sessions {
                     sunder_telemetry::counter_add("serve_rejected_total", &[("reason", "busy")], 1);
@@ -506,13 +518,26 @@ fn accept_loop(inner: &Arc<ServerInner>, listener: &TcpListener) -> Vec<JoinHand
                     .expect("spawn connection thread");
                 conns.push(handle);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Transient (out of descriptors, aborted handshake): back off
+            // briefly instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
     conns
+}
+
+/// Unblocks [`accept_loop`]'s `accept` with a throwaway connection so
+/// the loop sees the drain flag and returns. A wildcard bind is reached
+/// through loopback.
+fn wake_accept(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
 }
 
 fn refuse(sock: &TcpStream, code: u16, message: &str) {
@@ -684,6 +709,10 @@ impl SessionObs {
 /// worker loop. Always decrements the active count and deregisters on
 /// the way out.
 fn serve_connection(inner: &Arc<ServerInner>, sock: TcpStream) {
+    // Replies are small frames written header-then-payload; with Nagle
+    // on, a reply between the writer's buffer size and one segment
+    // waits for the client's delayed ACK (about 40 ms on loopback).
+    let _ = sock.set_nodelay(true);
     let conn_id = inner.next_conn.fetch_add(1, Ordering::Relaxed);
     let cancel = CancelToken::new();
     if let Ok(clone) = sock.try_clone() {
@@ -1054,6 +1083,57 @@ mod tests {
         assert_eq!(tenant_item("tenant-003"), Some(3));
         assert_eq!(tenant_item("alpha"), None);
         assert_eq!(tenant_item(""), None);
+    }
+
+    #[test]
+    fn default_config_serves_one_shard_on_a_resolved_engine() {
+        let cfg = ServerConfig::default();
+        assert_eq!(cfg.spec, ShardSpec::MaxShards(1));
+        assert_eq!(cfg.engine, EngineChoice::Auto);
+        // Five disjoint rules: four shards were possible, one is served.
+        let nfa =
+            sunder_automata::regex::compile_rule_set(&["ab+c", ".*net", "[0-9]{3}", "xy", "q"])
+                .unwrap();
+        let mut server = MatchServer::start("127.0.0.1:0", &nfa, cfg).unwrap();
+        let pipeline = Arc::clone(&server.inner.db.lock().unwrap().pipeline);
+        assert_eq!(pipeline.num_shards(), 1);
+        let selection = pipeline.selection();
+        assert_eq!(selection.choice(), EngineChoice::Auto, "{selection}");
+        assert_ne!(selection.reason, sunder_sim::SelectReason::Requested);
+        server.drain();
+    }
+
+    #[test]
+    fn accepted_sockets_disable_nagle() {
+        let nfa = sunder_automata::regex::compile_rule_set(&["ab"]).unwrap();
+        let mut server = MatchServer::start("127.0.0.1:0", &nfa, ServerConfig::default()).unwrap();
+        let mut client = TcpStream::connect(server.local_addr()).unwrap();
+        ClientFrame::Hello {
+            version: PROTOCOL_VERSION,
+            tenant: "t".into(),
+        }
+        .write_to(&mut client)
+        .unwrap();
+        // The server registers the connection before it answers Hello.
+        let ack = read_raw(&mut client, DEFAULT_MAX_FRAME_BYTES)
+            .unwrap()
+            .unwrap();
+        assert!(matches!(
+            crate::frame::decode_server(&ack).unwrap(),
+            ServerFrame::HelloAck { .. }
+        ));
+        let inner = server.inner_for_tests();
+        let conns = inner.conns.lock().unwrap();
+        assert_eq!(conns.len(), 1);
+        for conn in conns.values() {
+            assert!(
+                conn.sock.nodelay().unwrap(),
+                "accepted socket keeps Nagle on"
+            );
+        }
+        drop(conns);
+        drop(client);
+        server.drain();
     }
 
     #[test]

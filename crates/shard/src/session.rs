@@ -396,12 +396,12 @@ mod tests {
     use sunder_automata::regex::compile_rule_set;
     use sunder_oracle::PipelineConfig;
     use sunder_resilience::CancelToken;
-    use sunder_sim::EngineKind;
+    use sunder_sim::EngineChoice;
 
     fn pipeline(config: PipelineConfig) -> Arc<CompiledPipeline> {
         let nfa = compile_rule_set(&["ab+c", "[0-9]{3}", ".*net"]).unwrap();
         Arc::new(
-            CompiledPipeline::compile(&nfa, config, ShardSpec::MaxShards(4), EngineKind::Adaptive)
+            CompiledPipeline::compile(&nfa, config, ShardSpec::MaxShards(4), EngineChoice::Auto)
                 .unwrap(),
         )
     }

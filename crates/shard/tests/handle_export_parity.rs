@@ -11,7 +11,7 @@
 use sunder_automata::regex::compile_rule_set;
 use sunder_oracle::PipelineConfig;
 use sunder_shard::{BatchOptions, BatchService, ShardSpec};
-use sunder_sim::EngineKind;
+use sunder_sim::EngineChoice;
 use sunder_telemetry::{set_level, Level, MetricValue};
 
 fn counter_total(snap: &sunder_telemetry::MetricsSnapshot, name: &str) -> u64 {
@@ -30,7 +30,7 @@ fn handle_routed_counters_match_service_totals() {
     set_level(Level::Metrics);
     sunder_telemetry::metrics::reset();
 
-    let service = BatchService::new(ShardSpec::MaxShards(4), EngineKind::Adaptive);
+    let service = BatchService::new(ShardSpec::MaxShards(4), EngineChoice::Auto);
     let nfa = compile_rule_set(&["ab+c", "[0-9]{3}", ".*xyz"]).unwrap();
     let streams: Vec<Vec<u8>> = (0..12)
         .map(|i| {
@@ -82,6 +82,31 @@ fn handle_routed_counters_match_service_totals() {
             .collect();
         assert_eq!(labeled.len(), 1, "{config:?} miss series");
     }
+
+    // Engine info gauge: exactly one series is 1, and it names the
+    // selection of the pipeline the cache handed out last (Stride2).
+    let last = service
+        .cache()
+        .get_or_compile(&nfa, PipelineConfig::Stride2)
+        .unwrap()
+        .selection();
+    let snap = sunder_telemetry::snapshot();
+    assert_eq!(
+        snap.gauge(
+            "pipeline_engine_info",
+            &[("engine", last.kind.name()), ("reason", last.reason.name())]
+        ),
+        Some(1.0),
+        "{last}"
+    );
+    let lit: Vec<_> = snap
+        .entries
+        .iter()
+        .filter(|e| {
+            e.name == "pipeline_engine_info" && matches!(e.value, MetricValue::Gauge(g) if g == 1.0)
+        })
+        .collect();
+    assert_eq!(lit.len(), 1, "one engine info series at 1: {lit:?}");
 
     // Scheduler counters: steals exported via handles equal the sum of
     // the per-batch reports.

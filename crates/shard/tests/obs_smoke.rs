@@ -26,7 +26,7 @@ use sunder_resilience::FaultPlan;
 use sunder_shard::chaos::{run_chaos, ChaosOptions, SessionOutcome};
 use sunder_shard::frame::{decode_server, read_raw, ClientFrame, ServerFrame, ERR_PANIC};
 use sunder_shard::{http_get, validate_flight, MatchServer, ServerConfig, ShardSpec};
-use sunder_sim::EngineKind;
+use sunder_sim::EngineChoice;
 use sunder_telemetry::exposition::sample_value;
 use sunder_telemetry::json::{self, Json};
 
@@ -43,7 +43,7 @@ fn obs_smoke_scrapes_flight_artifact_and_readiness() {
     let cfg = ServerConfig {
         config: PipelineConfig::Nibble,
         spec: ShardSpec::MaxShards(4),
-        engine: EngineKind::Adaptive,
+        engine: EngineChoice::Auto,
         max_sessions: SESSIONS + 4,
         // Tenant s2's first chunk panics inside the worker.
         fault_plan: FaultPlan::from_text("panic 2\n").unwrap(),

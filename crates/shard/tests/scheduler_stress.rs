@@ -8,7 +8,7 @@ use sunder_automata::regex::compile_rule_set;
 use sunder_oracle::PipelineConfig;
 use sunder_resilience::{Fault, FaultKind, FaultPlan, JobOutcome};
 use sunder_shard::{run_batch, BatchOptions, CompiledPipeline, ShardSpec};
-use sunder_sim::EngineKind;
+use sunder_sim::EngineChoice;
 
 const STREAMS: usize = 64;
 const WORKERS: usize = 8;
@@ -30,7 +30,7 @@ fn pipeline() -> CompiledPipeline {
         &nfa,
         PipelineConfig::Nibble,
         ShardSpec::MaxShards(4),
-        EngineKind::Adaptive,
+        EngineChoice::Auto,
     )
     .unwrap()
 }

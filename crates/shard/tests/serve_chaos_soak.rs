@@ -18,7 +18,7 @@ use sunder_resilience::{FaultPlan, SplitMix64};
 use sunder_shard::chaos::{run_chaos, ChaosOptions, SessionOutcome};
 use sunder_shard::frame::{ERR_PANIC, ERR_PROTOCOL, ERR_VERSION};
 use sunder_shard::{expected_reports, CompiledPipeline, MatchServer, ServerConfig, ShardSpec};
-use sunder_sim::EngineKind;
+use sunder_sim::EngineChoice;
 
 const SESSIONS: usize = 64;
 
@@ -31,7 +31,7 @@ fn chaos_soak_64_sessions_with_faults_reload_and_drain() {
     let cfg = ServerConfig {
         config: PipelineConfig::Stride2,
         spec: ShardSpec::MaxShards(4),
-        engine: EngineKind::Adaptive,
+        engine: EngineChoice::Auto,
         max_sessions: SESSIONS + 8,
         per_tenant_sessions: 4,
         queue_depth: 4,
@@ -82,44 +82,77 @@ fn chaos_soak_64_sessions_with_faults_reload_and_drain() {
         read_timeout: Duration::from_secs(30),
     };
 
-    // Concurrent scraper: poll /metrics and /statusz at 10 Hz while the
-    // chaos runs. A scrape that fails to parse fails the soak — the
-    // exposition must stay well-formed no matter what the sessions are
-    // doing to the registry concurrently.
+    // Concurrent scraper: poll /metrics and /statusz while the chaos
+    // runs. A scrape that fails to parse fails the soak — the exposition
+    // must stay well-formed no matter what the sessions are doing to the
+    // registry concurrently. The scraper is sequenced against the
+    // traffic rather than timed: its first scrape completes before any
+    // session starts, and it keeps scraping until it has seen the stop
+    // flag that is raised once the traffic is over, so its last scrape
+    // follows the traffic.
     let obs_addr = server.obs_addr().expect("obs listener running");
     let scrape_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let (first_scrape_tx, first_scrape_rx) = std::sync::mpsc::channel();
     let scraper = {
         let stop = Arc::clone(&scrape_stop);
         std::thread::spawn(move || {
-            let mut scrapes = 0usize;
-            while !stop.load(std::sync::atomic::Ordering::Acquire) {
+            // `serve_chunks_total` as each scrape saw it.
+            let mut chunks_seen: Vec<f64> = Vec::new();
+            loop {
+                let last = stop.load(std::sync::atomic::Ordering::Acquire);
+                let scrapes = chunks_seen.len();
                 let (status, body) =
                     sunder_shard::http_get(obs_addr, "/metrics", Duration::from_secs(5))
                         .expect("scrape /metrics");
                 assert_eq!(status, 200, "scrape {scrapes}");
-                sunder_telemetry::parse_prometheus(&body).unwrap_or_else(|e| {
+                let families = sunder_telemetry::parse_prometheus(&body).unwrap_or_else(|e| {
                     panic!("scrape {scrapes}: exposition failed to parse: {e}\n{body}")
                 });
+                chunks_seen.push(
+                    families
+                        .iter()
+                        .filter(|f| f.name == "serve_chunks_total")
+                        .flat_map(|f| &f.samples)
+                        .map(|s| s.value)
+                        .sum(),
+                );
                 let (status, body) =
                     sunder_shard::http_get(obs_addr, "/statusz", Duration::from_secs(5))
                         .expect("scrape /statusz");
                 assert_eq!(status, 200, "scrape {scrapes}");
                 sunder_telemetry::json::parse(&body)
                     .unwrap_or_else(|e| panic!("scrape {scrapes}: statusz not JSON: {e}"));
-                scrapes += 1;
-                std::thread::sleep(Duration::from_millis(100));
+                if scrapes == 0 {
+                    first_scrape_tx
+                        .send(())
+                        .expect("soak waits for the first scrape");
+                }
+                if last {
+                    return chunks_seen;
+                }
+                std::thread::sleep(Duration::from_millis(5));
             }
-            scrapes
         })
     };
 
+    first_scrape_rx
+        .recv()
+        .expect("scraper completes one scrape before traffic starts");
     let outcomes = run_chaos(server.local_addr(), &inputs, &plan, &opts);
     assert_eq!(outcomes.len(), SESSIONS, "every session reached an outcome");
     scrape_stop.store(true, std::sync::atomic::Ordering::Release);
-    let scrapes = scraper.join().expect("scraper thread panicked");
-    // The soak itself only takes a few hundred ms; two full scrape
-    // cycles is the floor that proves concurrency happened at all.
+    let chunks_seen = scraper.join().expect("scraper thread panicked");
+    let scrapes = chunks_seen.len();
+    // One scrape before the traffic and one after it is the floor that
+    // proves the scraper ran beside the soak at all.
     assert!(scrapes >= 2, "scraper barely ran: {scrapes} scrapes");
+    let final_chunks = *chunks_seen.last().unwrap();
+    assert_eq!(chunks_seen[0], 0.0, "first scrape precedes all traffic");
+    assert!(final_chunks > 0.0, "traffic served chunks");
+    assert!(
+        chunks_seen.iter().any(|&c| c > 0.0 && c < final_chunks),
+        "no scrape landed while traffic was in flight: {chunks_seen:?}"
+    );
 
     let mut completed = 0;
     for (i, outcome) in outcomes.iter().enumerate() {

@@ -20,7 +20,7 @@ use sunder_shard::frame::{
     ERR_PROTOCOL, ERR_QUOTA, ERR_VERSION, PROTOCOL_VERSION,
 };
 use sunder_shard::{expected_reports, CompiledPipeline, MatchServer, ServerConfig, ShardSpec};
-use sunder_sim::EngineKind;
+use sunder_sim::EngineChoice;
 
 fn rules() -> Nfa {
     compile_rule_set(&["ab+c", "[0-9]{3}", ".*net"]).unwrap()
@@ -32,7 +32,7 @@ fn config() -> ServerConfig {
     ServerConfig {
         config: PipelineConfig::Stride2,
         spec: ShardSpec::MaxShards(4),
-        engine: EngineKind::Adaptive,
+        engine: EngineChoice::Auto,
         drain_deadline: Duration::from_secs(2),
         ..ServerConfig::default()
     }

@@ -1,7 +1,7 @@
 //! Property test (oracle-backed): for random automata and random shard
-//! counts ∈ {1..8}, the `ShardedEngine`'s merged report trace is
-//! byte-identical to the monolithic `AdaptiveEngine` trace under all four
-//! pipeline configurations.
+//! counts ∈ {1..8}, the `ShardedEngine`'s merged report trace — on
+//! whichever engine the compile-time selector picks — is byte-identical
+//! to the monolithic sparse trace under all four pipeline configurations.
 //!
 //! Random cases come from the conformance fuzzer's generator
 //! (`sunder_oracle::fuzz::generate_case`), so the automata exercise the
@@ -21,7 +21,7 @@ use sunder_oracle::fuzz::{
 };
 use sunder_oracle::PipelineConfig;
 use sunder_shard::{CompiledPipeline, ShardSpec};
-use sunder_sim::{EngineKind, ShardedEngine, TraceSink};
+use sunder_sim::{EngineChoice, EngineKind, ShardedEngine, TraceSink};
 
 /// Writes a failing case as a reproducer file under the test temp dir and
 /// returns its path.
@@ -39,7 +39,7 @@ fn emit_reproducer(
         input: input.to_vec(),
         divergence: Box::new(Divergence {
             config: config.name(),
-            engine: "adaptive",
+            engine: "auto",
             detail,
             missing: Vec::new(),
             spurious: Vec::new(),
@@ -55,13 +55,13 @@ fn emit_reproducer(
     path
 }
 
-/// The monolithic reference: the adaptive engine over the transformed
+/// The monolithic reference: the sparse engine over the transformed
 /// automaton.
 fn monolithic(transformed: &sunder_automata::Nfa, input: &[u8]) -> Vec<sunder_sim::ReportEvent> {
     let view =
         sunder_automata::InputView::new(input, transformed.symbol_bits(), transformed.stride())
             .expect("framing");
-    let mut engine = EngineKind::Adaptive.build(transformed);
+    let mut engine = EngineKind::Sparse.build(transformed);
     let mut trace = TraceSink::new();
     engine.run(&view, &mut trace);
     trace.events
@@ -71,7 +71,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn sharded_matches_monolithic_adaptive_for_all_configs(
+    fn sharded_matches_monolithic_for_all_configs(
         case in 0u64..4096,
         shards in 1usize..=8,
     ) {
@@ -83,7 +83,7 @@ proptest! {
             let sharded = ShardedEngine::with_shard_count(
                 &transformed,
                 shards,
-                EngineKind::Adaptive,
+                EngineChoice::Auto,
             ).expect("partition");
             let merged = sharded.run_trace(&input).expect("sharded run");
             if merged != expected {
@@ -95,7 +95,7 @@ proptest! {
                     shards,
                     format!(
                         "sharded ({shards} requested, {} actual) has {} events, \
-                         monolithic adaptive has {}",
+                         monolithic sparse has {}",
                         sharded.num_shards(),
                         merged.len(),
                         expected.len(),
@@ -127,7 +127,7 @@ proptest! {
                 &nfa,
                 config,
                 ShardSpec::MaxShards(shards),
-                EngineKind::Adaptive,
+                EngineChoice::Auto,
             ).expect("compile");
             let via_cacheable = pipeline.sharded.run_trace(&input).expect("pipeline run");
             let expected = monolithic(&pipeline.nfa, &input);

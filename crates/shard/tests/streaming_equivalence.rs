@@ -14,7 +14,7 @@ use std::sync::Arc;
 use sunder_oracle::PipelineConfig;
 use sunder_resilience::{Budget, SplitMix64};
 use sunder_shard::{expected_reports, CompiledPipeline, ShardSpec, StreamSession};
-use sunder_sim::EngineKind;
+use sunder_sim::{EngineChoice, EngineKind};
 use sunder_workloads::{Benchmark, Scale};
 
 /// Splits `input` into chunks whose sizes are drawn from `rng`, biased
@@ -86,13 +86,8 @@ fn extreme_chunkings_agree_on_a_dense_reporter() {
     let w = Benchmark::ExactMatch.build(Scale::tiny());
     for config in PipelineConfig::ALL {
         let pipeline = Arc::new(
-            CompiledPipeline::compile(
-                &w.nfa,
-                config,
-                ShardSpec::MaxShards(4),
-                EngineKind::Adaptive,
-            )
-            .unwrap(),
+            CompiledPipeline::compile(&w.nfa, config, ShardSpec::MaxShards(4), EngineChoice::Auto)
+                .unwrap(),
         );
         let expected = expected_reports(&pipeline, &w.input).unwrap();
         for chunk_size in [1usize, w.input.len()] {

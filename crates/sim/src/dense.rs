@@ -209,56 +209,7 @@ pub struct DenseEngine<'a> {
     active_list: Vec<StateId>,
 }
 
-/// Why a budget-checked dense build was refused.
-///
-/// Today the only variant is the table budget; the type exists so the
-/// adaptive engine and suite harness report *why* they degraded to sparse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DenseBuildError {
-    /// Bytes the dense tables would need ([`DenseEngine::table_bytes`]).
-    pub needed: usize,
-    /// The budget that refused them.
-    pub budget: usize,
-}
-
-impl std::fmt::Display for DenseBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "dense tables need {} bytes, budget is {} bytes",
-            self.needed, self.budget
-        )
-    }
-}
-
-impl std::error::Error for DenseBuildError {}
-
 impl<'a> DenseEngine<'a> {
-    /// Budget-checked constructor: refuses to build when the precomputed
-    /// tables would exceed `budget_bytes`, modelling an allocation-denied
-    /// environment. The size check uses the byte-classed footprint
-    /// ([`DenseEngine::classed_table_bytes`]) and runs *before* the big
-    /// allocations, so a refusal costs only the class computation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DenseBuildError`] when
-    /// [`DenseEngine::classed_table_bytes`]` > budget_bytes`.
-    pub fn try_new(nfa: &'a Nfa, budget_bytes: usize) -> Result<Self, DenseBuildError> {
-        // Cheap upper bound first: if even the unclassed size fits, skip
-        // the class computation.
-        if Self::table_bytes(nfa) > budget_bytes {
-            let needed = Self::classed_table_bytes(nfa);
-            if needed > budget_bytes {
-                return Err(DenseBuildError {
-                    needed,
-                    budget: budget_bytes,
-                });
-            }
-        }
-        Ok(Self::new(nfa))
-    }
-
     /// Precomputes the accept masks and successor matrix for the automaton.
     pub fn new(nfa: &'a Nfa) -> Self {
         Self::with_tables(nfa, Arc::new(DenseTables::build(nfa)))
@@ -337,9 +288,8 @@ impl<'a> DenseEngine<'a> {
         self.cycle = 0;
     }
 
-    /// Replaces the current frontier and cycle counter (engine-switch
-    /// support; see [`crate::AdaptiveEngine`]).
-    pub fn load_frontier(&mut self, states: &[StateId], cycle: u64) {
+    /// Replaces the current frontier and cycle counter.
+    fn load_frontier(&mut self, states: &[StateId], cycle: u64) {
         simd::clear(&mut self.active);
         for s in states {
             self.active[s.index() / 64] |= 1u64 << (s.index() % 64);
@@ -364,7 +314,7 @@ impl<'a> DenseEngine<'a> {
     }
 
     /// Appends the current frontier, in ascending state order, to `out`.
-    pub fn export_frontier(&self, out: &mut Vec<StateId>) {
+    fn export_frontier(&self, out: &mut Vec<StateId>) {
         for (wi, &word) in self.active.iter().enumerate() {
             let mut w = word;
             while w != 0 {
@@ -820,15 +770,15 @@ mod tests {
         let input = InputView::new(b"ab", 8, 1).unwrap();
         let mut dense = DenseEngine::new(&nfa);
         dense.run(&input, &mut crate::NullSink);
-        let mut frontier = Vec::new();
-        dense.export_frontier(&mut frontier);
-        assert!(!frontier.is_empty());
+        let mut snap = crate::exec::EngineState::initial();
+        dense.suspend(&mut snap);
+        assert!(!snap.frontier.is_empty());
         let mut other = DenseEngine::new(&nfa);
-        other.load_frontier(&frontier, dense.cycle());
-        assert_eq!(other.active_count(), frontier.len());
-        let mut out = Vec::new();
-        other.export_frontier(&mut out);
-        assert_eq!(out, frontier);
+        other.resume(&snap);
+        assert_eq!(other.active_count(), snap.frontier.len());
+        let mut again = crate::exec::EngineState::initial();
+        other.suspend(&mut again);
+        assert_eq!(again, snap);
     }
 
     #[test]
@@ -907,20 +857,5 @@ mod tests {
             DenseEngine::classed_table_bytes(&nfa)
         );
         assert!(DenseEngine::classed_table_bytes(&nfa) < DenseEngine::table_bytes(&nfa));
-    }
-
-    #[test]
-    fn classed_budget_admits_small_classed_tables() {
-        // Conservative estimate exceeds the budget but the classed tables
-        // fit: the build must succeed.
-        let nfa = compile_regex("ab", 0).unwrap();
-        let classed = DenseEngine::classed_table_bytes(&nfa);
-        assert!(classed < DenseEngine::table_bytes(&nfa));
-        let engine = DenseEngine::try_new(&nfa, classed).expect("classed size fits");
-        assert_eq!(engine.class_count(0), 3);
-        // And below the classed size it must still refuse, reporting the
-        // classed footprint.
-        let err = DenseEngine::try_new(&nfa, classed - 1).unwrap_err();
-        assert_eq!(err.needed, classed);
     }
 }

@@ -143,18 +143,6 @@ impl<'a> Simulator<'a> {
         // Stamps stay monotone; no clearing needed.
     }
 
-    /// Replaces the current frontier and cycle counter.
-    ///
-    /// This is the engine-switch entry point: the adaptive engine uses it
-    /// to hand a mid-stream frontier over from the dense representation.
-    /// States must be valid ids of this automaton; duplicates are allowed
-    /// (deduplication happens on the next step).
-    pub fn load_frontier(&mut self, states: &[StateId], cycle: u64) {
-        self.active.clear();
-        self.active.extend_from_slice(states);
-        self.cycle = cycle;
-    }
-
     /// Captures the current execution state (canonical ascending-state
     /// frontier plus cycle clock) into `out`; see
     /// [`crate::exec::Engine::suspend`].
@@ -168,7 +156,9 @@ impl<'a> Simulator<'a> {
     /// Restores a suspended execution state; see
     /// [`crate::exec::Engine::resume`].
     pub fn resume(&mut self, state: &crate::exec::EngineState) {
-        self.load_frontier(&state.frontier, state.cycle);
+        self.active.clear();
+        self.active.extend_from_slice(&state.frontier);
+        self.cycle = state.cycle;
     }
 
     /// One cycle of the stride-1 specialization: candidates are checked

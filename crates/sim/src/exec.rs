@@ -1,6 +1,6 @@
 //! The engine abstraction: one automaton executor, many implementations.
 //!
-//! The repository ships three functional engines with identical observable
+//! The repository ships two functional engines with identical observable
 //! behavior (byte-identical report traces for the same automaton/input):
 //!
 //! * [`Simulator`](crate::Simulator) — the *sparse* frontier engine: per
@@ -10,11 +10,11 @@
 //!   whole state set is a bit vector and one cycle is a handful of wide
 //!   word operations, mirroring the subarray's row-read/AND pipeline.
 //!   Wins when many states are active (meshes, hot classes).
-//! * [`AdaptiveEngine`](crate::AdaptiveEngine) — samples frontier density
-//!   at runtime and switches between the two.
 //!
 //! [`EngineKind`] names them for configuration surfaces (CLI flags,
 //! `sunder-core`'s builder) and [`EngineKind::build`] instantiates one.
+//! Which one a compiled pipeline runs is decided once, at compile time,
+//! by [`crate::select()`].
 
 use sunder_automata::input::InputView;
 use sunder_automata::{Nfa, StateId};
@@ -24,7 +24,7 @@ use crate::sink::ReportSink;
 
 /// A suspended mid-stream execution snapshot: everything an engine needs
 /// to continue a stream later (possibly in a different engine instance,
-/// or a different engine *kind* — all engines share the same observable
+/// or a different engine *kind* — both engines share the same observable
 /// state model) without re-scanning any input.
 ///
 /// The frontier is stored in ascending state order so snapshots are
@@ -156,39 +156,24 @@ pub trait Engine {
     }
 }
 
-/// Which functional engine to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// Which functional engine runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// The frontier-based sparse engine ([`crate::Simulator`]).
     Sparse,
     /// The bit-parallel dense engine ([`crate::DenseEngine`]).
     Dense,
-    /// Density-sampled switching between the two
-    /// ([`crate::AdaptiveEngine`]).
-    #[default]
-    Adaptive,
 }
 
 impl EngineKind {
     /// Every engine kind, for sweeps and benches.
-    pub const ALL: [EngineKind; 3] = [EngineKind::Sparse, EngineKind::Dense, EngineKind::Adaptive];
+    pub const ALL: [EngineKind; 2] = [EngineKind::Sparse, EngineKind::Dense];
 
-    /// A short stable name (`sparse`/`dense`/`adaptive`).
+    /// A short stable name (`sparse`/`dense`).
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Sparse => "sparse",
             EngineKind::Dense => "dense",
-            EngineKind::Adaptive => "adaptive",
-        }
-    }
-
-    /// Parses the name produced by [`EngineKind::name`].
-    pub fn parse(s: &str) -> Option<EngineKind> {
-        match s {
-            "sparse" => Some(EngineKind::Sparse),
-            "dense" => Some(EngineKind::Dense),
-            "adaptive" => Some(EngineKind::Adaptive),
-            _ => None,
         }
     }
 
@@ -197,7 +182,6 @@ impl EngineKind {
         match self {
             EngineKind::Sparse => Box::new(crate::Simulator::new(nfa)),
             EngineKind::Dense => Box::new(crate::DenseEngine::new(nfa)),
-            EngineKind::Adaptive => Box::new(crate::AdaptiveEngine::new(nfa)),
         }
     }
 }
@@ -213,14 +197,6 @@ mod tests {
     use super::*;
     use crate::TraceSink;
     use sunder_automata::regex::compile_regex;
-
-    #[test]
-    fn kinds_round_trip_names() {
-        for kind in EngineKind::ALL {
-            assert_eq!(EngineKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(EngineKind::parse("bogus"), None);
-    }
 
     #[test]
     fn build_runs_any_kind() {
@@ -294,10 +270,12 @@ mod tests {
         let nfa = compile_regex("ab", 3).unwrap();
         let input = InputView::new(b"xxabab", 8, 1).unwrap();
         let budget = Budget::with_deadline(Duration::from_secs(3600));
-        let mut engine = EngineKind::Adaptive.build(&nfa);
-        let mut trace = TraceSink::new();
-        let outcome = engine.run_budgeted(&input, &mut trace, &budget);
-        assert_eq!(outcome, RunOutcome::Completed);
-        assert_eq!(trace.cycle_id_pairs(), vec![(3, 3), (5, 3)]);
+        for kind in EngineKind::ALL {
+            let mut engine = kind.build(&nfa);
+            let mut trace = TraceSink::new();
+            let outcome = engine.run_budgeted(&input, &mut trace, &budget);
+            assert_eq!(outcome, RunOutcome::Completed, "{kind}");
+            assert_eq!(trace.cycle_id_pairs(), vec![(3, 3), (5, 3)], "{kind}");
+        }
     }
 }

@@ -7,12 +7,12 @@
 //! (any symbol width, any stride) cycle by cycle and streams report events
 //! into a pluggable [`ReportSink`].
 //!
-//! Three engines share the [`Engine`] trait and produce byte-identical
-//! report traces: the sparse frontier [`Simulator`], the bit-parallel
+//! Two engines share the [`Engine`] trait and produce byte-identical
+//! report traces: the sparse frontier [`Simulator`] and the bit-parallel
 //! [`DenseEngine`] (one cycle = a few wide word operations over the whole
-//! state set, mirroring the subarray's row-read/AND pipeline), and the
-//! density-sampling [`AdaptiveEngine`] that switches between them at
-//! runtime. Pick one by name with [`EngineKind`].
+//! state set, mirroring the subarray's row-read/AND pipeline). Pick one
+//! by name with [`EngineKind`], or let [`select()`] pick one per automaton
+//! at compile time.
 //!
 //! # Quick start
 //!
@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 pub mod dense;
 pub mod engine;
 pub mod exec;
@@ -44,18 +43,19 @@ pub mod exec;
 pub mod fastpath;
 pub mod histogram;
 pub mod profile;
+pub mod select;
 pub mod sharded;
 pub mod simd;
 pub mod sink;
 pub mod stats;
 pub mod storage;
 
-pub use adaptive::{AdaptiveEngine, AdaptiveLimits, DegradeReason};
-pub use dense::{DenseBuildError, DenseEngine};
+pub use dense::DenseEngine;
 pub use engine::{run_trace, Simulator};
 pub use exec::{Engine, EngineKind, EngineState};
 pub use histogram::BurstHistogramSink;
 pub use profile::{hybrid_split, ActivationProfileSink, HybridSplit};
+pub use select::{select, DensityProfile, EngineChoice, SelectLimits, SelectReason, Selection};
 pub use sharded::{ShardedEngine, ShardedState};
 pub use sink::{BoundedTraceSink, CountSink, NullSink, ReportEvent, ReportSink, TraceSink};
 pub use stats::{DynamicStats, DynamicStatsSink};

@@ -18,28 +18,27 @@
 //! The conformance oracle locks this down (`sunder-oracle`'s sharded
 //! checks and the `sunder-shard` property tests).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use sunder_automata::input::InputView;
 use sunder_automata::partition::{partition, partition_into, PartitionOptions, ShardPlan};
 use sunder_automata::{AutomataError, Nfa};
 use sunder_resilience::{Budget, RunOutcome};
 
-use crate::adaptive::{AdaptiveEngine, AdaptiveLimits};
 use crate::dense::DenseTables;
 use crate::exec::{Engine, EngineKind, EngineState};
 use crate::fastpath::SparseTables;
+use crate::select::{select_parts, EngineChoice, SelectLimits, Selection};
 use crate::sink::{ReportEvent, ReportSink, TraceSink};
 
 /// Compiled per-shard tables, shared across every run (and every clone of
-/// the engine handed to worker threads). The sparse tables are built
-/// eagerly at plan time — they are linear in the shard — while the dense
-/// tables are built at most once per shard, on first demand, no matter
-/// how many streams execute the shard concurrently.
+/// the engine handed to worker threads). The sparse tables are always
+/// built — the selector probes with them and the artifact persists them;
+/// the dense tables exist exactly when the selected engine is dense.
 #[derive(Debug, Clone)]
 struct ShardTables {
     sparse: Arc<SparseTables>,
-    dense: Arc<OnceLock<Arc<DenseTables>>>,
+    dense: Option<Arc<DenseTables>>,
 }
 
 /// Executes a [`ShardPlan`] and merges per-shard report traces into a
@@ -47,7 +46,7 @@ struct ShardTables {
 #[derive(Debug, Clone)]
 pub struct ShardedEngine {
     plan: ShardPlan,
-    kind: EngineKind,
+    selection: Selection,
     symbol_bits: u8,
     stride: usize,
     tables: Vec<ShardTables>,
@@ -55,7 +54,7 @@ pub struct ShardedEngine {
 
 impl ShardedEngine {
     /// Partitions `nfa` under `opts` and prepares sharded execution with
-    /// engine `kind` per shard.
+    /// the engine `choice` resolves to.
     ///
     /// # Errors
     ///
@@ -63,9 +62,9 @@ impl ShardedEngine {
     pub fn new(
         nfa: &Nfa,
         opts: &PartitionOptions,
-        kind: EngineKind,
+        choice: impl Into<EngineChoice>,
     ) -> Result<ShardedEngine, AutomataError> {
-        Ok(ShardedEngine::from_plan(nfa, partition(nfa, opts)?, kind))
+        Ok(ShardedEngine::from_plan(nfa, partition(nfa, opts)?, choice))
     }
 
     /// Partitions `nfa` into at most `max_shards` balanced shards.
@@ -77,29 +76,44 @@ impl ShardedEngine {
     pub fn with_shard_count(
         nfa: &Nfa,
         max_shards: usize,
-        kind: EngineKind,
+        choice: impl Into<EngineChoice>,
     ) -> Result<ShardedEngine, AutomataError> {
         Ok(ShardedEngine::from_plan(
             nfa,
             partition_into(nfa, max_shards)?,
-            kind,
+            choice,
         ))
     }
 
     /// Wraps an existing plan for `nfa` (the plan must have been built
     /// from this automaton; only its width and stride are read here).
-    pub fn from_plan(nfa: &Nfa, plan: ShardPlan, kind: EngineKind) -> ShardedEngine {
+    ///
+    /// This is where the engine is chosen, once: the per-shard sparse
+    /// tables are built, `choice` is resolved over all shards together
+    /// (see [`crate::select()`]; an [`EngineChoice::Auto`] probe runs on
+    /// those tables), and a dense selection builds the dense tables here
+    /// rather than on first use.
+    pub fn from_plan(nfa: &Nfa, plan: ShardPlan, choice: impl Into<EngineChoice>) -> ShardedEngine {
+        let sparse: Vec<Arc<SparseTables>> = plan
+            .shards
+            .iter()
+            .map(|s| Arc::new(SparseTables::build(&s.nfa)))
+            .collect();
+        let parts: Vec<_> = plan.shards.iter().map(|s| &s.nfa).zip(&sparse).collect();
+        let selection = select_parts(&parts, choice.into(), &SelectLimits::default());
         let tables = plan
             .shards
             .iter()
-            .map(|s| ShardTables {
-                sparse: Arc::new(SparseTables::build(&s.nfa)),
-                dense: Arc::new(OnceLock::new()),
+            .zip(sparse)
+            .map(|(s, sparse)| ShardTables {
+                sparse,
+                dense: (selection.kind == EngineKind::Dense)
+                    .then(|| Arc::new(DenseTables::build(&s.nfa))),
             })
             .collect();
         ShardedEngine {
             plan,
-            kind,
+            selection,
             symbol_bits: nfa.symbol_bits(),
             stride: nfa.stride(),
             tables,
@@ -107,20 +121,21 @@ impl ShardedEngine {
     }
 
     /// Assembles a sharded engine around *already compiled* per-shard
-    /// tables — the mapped-database load path (`sunder-artifact`), where
-    /// the tables borrow straight from an `.sdb` mapping and nothing is
-    /// rebuilt. `tables` must hold one entry per plan shard, each built
-    /// from (or validated against) that shard's automaton; a `None` dense
-    /// half leaves the dense tables to be built lazily on first demand,
-    /// exactly like [`ShardedEngine::from_plan`].
+    /// tables and an already made selection — the mapped-database load
+    /// path (`sunder-artifact`), where the tables borrow straight from an
+    /// `.sdb` mapping and nothing is re-selected. `tables` must hold one
+    /// entry per plan shard, each built from (or validated against) that
+    /// shard's automaton, with dense tables exactly when the selection is
+    /// dense.
     ///
     /// # Panics
     ///
-    /// Panics if `tables.len()` differs from the plan's shard count.
+    /// Panics if `tables.len()` differs from the plan's shard count, or
+    /// if the dense halves disagree with the selected kind.
     #[doc(hidden)]
     pub fn from_prebuilt(
         plan: ShardPlan,
-        kind: EngineKind,
+        selection: Selection,
         symbol_bits: u8,
         stride: usize,
         tables: Vec<(Arc<SparseTables>, Option<Arc<DenseTables>>)>,
@@ -130,22 +145,18 @@ impl ShardedEngine {
             plan.num_shards(),
             "one table set per plan shard"
         );
+        let dense = selection.kind == EngineKind::Dense;
+        assert!(
+            tables.iter().all(|(_, d)| d.is_some() == dense),
+            "dense tables present exactly when the selection is dense"
+        );
         let tables = tables
             .into_iter()
-            .map(|(sparse, dense)| {
-                let cell = OnceLock::new();
-                if let Some(d) = dense {
-                    let _ = cell.set(d);
-                }
-                ShardTables {
-                    sparse,
-                    dense: Arc::new(cell),
-                }
-            })
+            .map(|(sparse, dense)| ShardTables { sparse, dense })
             .collect();
         ShardedEngine {
             plan,
-            kind,
+            selection,
             symbol_bits,
             stride,
             tables,
@@ -162,31 +173,15 @@ impl ShardedEngine {
         &self.tables[shard].sparse
     }
 
-    /// The dense tables of one shard, when already built.
+    /// The dense tables of one shard; present exactly when the selected
+    /// engine is dense.
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
     #[doc(hidden)]
-    pub fn shard_dense(&self, shard: usize) -> Option<Arc<DenseTables>> {
-        self.tables[shard].dense.get().cloned()
-    }
-
-    /// Builds (at most once) and returns the dense tables of one shard —
-    /// lets the artifact writer persist dense matrices for pipelines whose
-    /// engine kind wants them, without waiting for first execution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    #[doc(hidden)]
-    pub fn ensure_dense(&self, shard: usize) -> Arc<DenseTables> {
-        let nfa = &self.plan.shards[shard].nfa;
-        Arc::clone(
-            self.tables[shard]
-                .dense
-                .get_or_init(|| Arc::new(DenseTables::build(nfa))),
-        )
+    pub fn shard_dense(&self, shard: usize) -> Option<&Arc<DenseTables>> {
+        self.tables[shard].dense.as_ref()
     }
 
     /// The underlying plan.
@@ -199,9 +194,14 @@ impl ShardedEngine {
         self.plan.num_shards()
     }
 
-    /// The per-shard engine kind.
+    /// The engine every shard runs.
     pub fn kind(&self) -> EngineKind {
-        self.kind
+        self.selection.kind
+    }
+
+    /// The engine every shard runs, and why it was chosen.
+    pub fn selection(&self) -> Selection {
+        self.selection
     }
 
     /// Stride of the automaton (and so of every shard).
@@ -215,26 +215,13 @@ impl ShardedEngine {
     }
 
     /// Instantiates the engine for one shard from the precompiled shared
-    /// tables: no per-run successor/encoding rebuild, and the dense
-    /// tables — when the kind wants them — are built once per shard and
-    /// then shared by every stream and clone.
+    /// tables: no per-run successor/encoding rebuild.
     fn build_shard_engine(&self, shard: usize) -> Box<dyn Engine + '_> {
         let nfa = &self.plan.shards[shard].nfa;
         let t = &self.tables[shard];
-        match self.kind {
-            EngineKind::Sparse => {
-                Box::new(crate::Simulator::with_tables(nfa, Arc::clone(&t.sparse)))
-            }
-            EngineKind::Dense => {
-                let tables = Arc::clone(t.dense.get_or_init(|| Arc::new(DenseTables::build(nfa))));
-                Box::new(crate::DenseEngine::with_tables(nfa, tables))
-            }
-            EngineKind::Adaptive => Box::new(AdaptiveEngine::with_shared(
-                nfa,
-                Arc::clone(&t.sparse),
-                Arc::clone(&t.dense),
-                AdaptiveLimits::default(),
-            )),
+        match &t.dense {
+            None => Box::new(crate::Simulator::with_tables(nfa, Arc::clone(&t.sparse))),
+            Some(dense) => Box::new(crate::DenseEngine::with_tables(nfa, Arc::clone(dense))),
         }
     }
 
@@ -474,7 +461,7 @@ mod tests {
         let expected = monolithic(&nfa, input);
         assert!(!expected.is_empty());
         for k in 1..=8 {
-            let engine = ShardedEngine::with_shard_count(&nfa, k, EngineKind::Adaptive).unwrap();
+            let engine = ShardedEngine::with_shard_count(&nfa, k, EngineChoice::Auto).unwrap();
             assert_eq!(engine.run_trace(input).unwrap(), expected, "shards={k}");
         }
     }
@@ -530,9 +517,9 @@ mod tests {
         let input = b"zab-bc 192net abbbc 007xyq xy123net q".as_slice();
         let expected = monolithic(&nfa, input);
         assert!(!expected.is_empty());
-        for kind in EngineKind::ALL {
+        for choice in EngineChoice::ALL {
             for shards in [1usize, 2, 4] {
-                let engine = ShardedEngine::with_shard_count(&nfa, shards, kind).unwrap();
+                let engine = ShardedEngine::with_shard_count(&nfa, shards, choice).unwrap();
                 let mut state = engine.initial_state();
                 let mut sink = TraceSink::new();
                 // Uneven chunk sizes, including a 1-byte chunk.
@@ -542,7 +529,7 @@ mod tests {
                         engine.run_chunk(&view, &mut sink, &mut state, &Budget::unlimited());
                     assert!(outcome.is_complete());
                 }
-                assert_eq!(sink.events, expected, "{kind}/{shards} shards");
+                assert_eq!(sink.events, expected, "{choice}/{shards} shards");
                 assert_eq!(state.cycle(), input.len() as u64);
             }
         }

@@ -1,16 +1,16 @@
 //! Differential testing of the execution engines: on arbitrary homogeneous
 //! NFAs — strided, start-period-gated, with reports at arbitrary offsets —
 //! and arbitrary inputs (including a partial final vector, i.e. padding),
-//! the sparse, dense bit-parallel, and adaptive engines must produce
-//! byte-identical report traces.
+//! the sparse and dense bit-parallel engines, and whichever engine the
+//! compile-time selector picks, must produce byte-identical report traces.
 
 use proptest::prelude::*;
 
 use sunder_automata::{InputView, Nfa, StartKind, Ste, SymbolSet};
-use sunder_sim::{AdaptiveEngine, DenseEngine, Simulator, TraceSink};
+use sunder_sim::{DenseEngine, EngineChoice, ShardedEngine, Simulator, TraceSink};
 
 /// 4-bit symbols: a 16-symbol alphabet keeps random charsets dense enough
-/// that frontiers actually light up (and the adaptive engine switches).
+/// that frontiers actually light up (and the selector picks dense).
 const BITS: u8 = 4;
 const ALPHABET: u16 = 16;
 
@@ -77,9 +77,11 @@ fn traces(nfa: &Nfa, input: &InputView) -> [Vec<sunder_sim::ReportEvent>; 3] {
     Simulator::new(nfa).run(input, &mut sparse);
     let mut dense = TraceSink::new();
     DenseEngine::new(nfa).run(input, &mut dense);
-    let mut adaptive = TraceSink::new();
-    AdaptiveEngine::new(nfa).run(input, &mut adaptive);
-    [sparse.events, dense.events, adaptive.events]
+    let mut selected = TraceSink::new();
+    ShardedEngine::with_shard_count(nfa, 1, EngineChoice::Auto)
+        .unwrap()
+        .run(input, &mut selected);
+    [sparse.events, dense.events, selected.events]
 }
 
 proptest! {
@@ -96,9 +98,9 @@ proptest! {
         // `from_symbols` pads the final partial vector when the input
         // length is not a stride multiple.
         let view = InputView::from_symbols(input, stride);
-        let [sparse, dense, adaptive] = traces(&nfa, &view);
+        let [sparse, dense, selected] = traces(&nfa, &view);
         prop_assert_eq!(&sparse, &dense, "sparse vs dense diverged");
-        prop_assert_eq!(&sparse, &adaptive, "sparse vs adaptive diverged");
+        prop_assert_eq!(&sparse, &selected, "sparse vs selected diverged");
     }
 }
 
@@ -116,7 +118,7 @@ fn strided_padded_periodic() {
     let nfa = build_nfa(2, 3, &specs);
     // 11 symbols over stride 2: the sixth vector carries one valid symbol.
     let input = InputView::from_symbols(vec![3, 7, 1, 5, 15, 9, 2, 3, 3, 7, 1], 2);
-    let [sparse, dense, adaptive] = traces(&nfa, &input);
+    let [sparse, dense, selected] = traces(&nfa, &input);
     assert_eq!(sparse, dense);
-    assert_eq!(sparse, adaptive);
+    assert_eq!(sparse, selected);
 }

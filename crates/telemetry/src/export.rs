@@ -9,7 +9,7 @@
 //!   "level":"spans","events":N,"dropped":N,"metrics":N}`
 //! - spans — `{"type":"span","name":"suite.benchmark","ts_us":U,
 //!   "dur_us":U,"tid":U,"fields":{...}}`
-//! - instants — `{"type":"instant","name":"engine.switch","ts_us":U,
+//! - instants — `{"type":"instant","name":"engine.select","ts_us":U,
 //!   "tid":U,"fields":{...}}`
 //! - metrics — `{"type":"metric","kind":"counter"|"gauge","name":S,
 //!   "labels":{...},"value":V}` or `{"type":"metric","kind":"histogram",

@@ -1,7 +1,7 @@
 //! The labeled metrics registry.
 //!
 //! Counters, gauges, and power-of-two histograms, keyed by metric name
-//! plus a sorted label set (`benchmark=Snort, engine=adaptive`). The
+//! plus a sorted label set (`benchmark=Snort, engine=dense`). The
 //! registry is a process-wide map behind a mutex; recording sites fire
 //! per run, per window decision, or per stall episode — never per cycle —
 //! so contention is negligible, and every recording call is gated on the

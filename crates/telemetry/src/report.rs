@@ -27,8 +27,6 @@ pub struct BenchReport {
     /// `(cause, cycles)` from `machine_stall_cycles_total{bench,cause}`,
     /// sorted by cause.
     pub stall_by_cause: Vec<(String, u64)>,
-    /// `engine.switch` instants tagged with this bench.
-    pub switches: u64,
     /// `engine.degrade` instants tagged with this bench.
     pub degrades: u64,
 }
@@ -66,8 +64,6 @@ pub struct Report {
     pub metric_lines: usize,
     /// Per-benchmark breakdowns, sorted by name.
     pub benches: Vec<BenchReport>,
-    /// `engine.switch` instants with no bench tag.
-    pub untagged_switches: u64,
     /// `engine.degrade` instants with no bench tag.
     pub untagged_degrades: u64,
     /// Supervisor retry/panic/timeout instants (whole run).
@@ -135,11 +131,6 @@ impl Report {
                 "instant" => {
                     let tagged = bench_of(&obj, "fields");
                     match (name, tagged) {
-                        ("engine.switch", Some(b)) => {
-                            let i = bench_mut(b, &mut benches);
-                            benches[i].switches += 1;
-                        }
-                        ("engine.switch", None) => report.untagged_switches += 1,
                         ("engine.degrade", Some(b)) => {
                             let i = bench_mut(b, &mut benches);
                             benches[i].degrades += 1;
@@ -226,10 +217,10 @@ impl Report {
                 self.job_retries, self.job_panics, self.job_timeouts
             ));
         }
-        if self.untagged_switches + self.untagged_degrades > 0 {
+        if self.untagged_degrades > 0 {
             out.push_str(&format!(
-                "engine (untagged): switches={} degrades={}\n",
-                self.untagged_switches, self.untagged_degrades
+                "engine (untagged): degrades={}\n",
+                self.untagged_degrades
             ));
         }
         if self.benches.is_empty() {
@@ -238,21 +229,20 @@ impl Report {
         }
         out.push('\n');
         out.push_str(&format!(
-            "{:<24} {:>10} {:>12} {:>9} {:>8} {:>8} {:>9}\n",
-            "benchmark", "wall(ms)", "cycles", "reports", "stall%", "switches", "degrades"
+            "{:<24} {:>10} {:>12} {:>9} {:>8} {:>9}\n",
+            "benchmark", "wall(ms)", "cycles", "reports", "stall%", "degrades"
         ));
         for b in &self.benches {
             let cycles = b.cycles.map_or("-".to_string(), |c| c.to_string());
             let reports = b.reports.map_or("-".to_string(), |r| r.to_string());
             let stall = b.stall_pct().map_or("-".to_string(), |p| format!("{p:.2}"));
             out.push_str(&format!(
-                "{:<24} {:>10.3} {:>12} {:>9} {:>8} {:>8} {:>9}\n",
+                "{:<24} {:>10.3} {:>12} {:>9} {:>8} {:>9}\n",
                 b.bench,
                 b.wall_us as f64 / 1000.0,
                 cycles,
                 reports,
                 stall,
-                b.switches,
                 b.degrades
             ));
         }
@@ -303,7 +293,7 @@ mod tests {
             r#"{"type":"meta","version":1,"tool":"sunder-telemetry","level":"spans","events":4,"dropped":0,"metrics":5}"#,
             r#"{"type":"span","name":"suite.benchmark","ts_us":0,"dur_us":1500,"tid":1,"fields":{"bench":"Snort"}}"#,
             r#"{"type":"span","name":"suite.benchmark","ts_us":0,"dur_us":500,"tid":2,"fields":{"bench":"Ranges1"}}"#,
-            r#"{"type":"instant","name":"engine.switch","ts_us":3,"tid":1,"fields":{"bench":"Snort","direction":"dense"}}"#,
+            r#"{"type":"instant","name":"engine.degrade","ts_us":3,"tid":1,"fields":{"bench":"Snort","reason":"dense-build-failed"}}"#,
             r#"{"type":"instant","name":"job.retry","ts_us":4,"tid":1,"fields":{"job":"Snort"}}"#,
             r#"{"type":"metric","kind":"counter","name":"suite_reports_total","labels":{"bench":"Snort"},"value":96}"#,
             r#"{"type":"metric","kind":"counter","name":"machine_input_cycles_total","labels":{"bench":"Snort"},"value":900}"#,
@@ -327,7 +317,7 @@ mod tests {
         assert_eq!(snort.bench, "Snort");
         assert_eq!(snort.wall_us, 1500);
         assert_eq!(snort.reports, Some(96));
-        assert_eq!(snort.switches, 1);
+        assert_eq!(snort.degrades, 1);
         assert_eq!(snort.stall_cycles(), 100);
         assert_eq!(snort.stall_pct(), Some(10.0));
         assert_eq!(

@@ -5,7 +5,7 @@
 //! {
 //!     let _span = sunder_telemetry::span("suite.benchmark")
 //!         .field("bench", "Snort");
-//!     sunder_telemetry::instant("engine.switch", &[("direction", "dense".into())]);
+//!     sunder_telemetry::instant("engine.select", &[("engine", "dense".into())]);
 //! } // span recorded with its duration here
 //! let dump = sunder_telemetry::finish().unwrap();
 //! assert_eq!(dump.events.len(), 2);

@@ -3,17 +3,17 @@
 //! ```text
 //! sunder compile --rules rules.txt --rate 16 -o program.saml
 //! sunder compile-db (--rules rules.txt | --program p.saml) -o db.sdb
-//!                [--shards 4] [--config stride2] [--engine adaptive]
+//!                [--shards 1] [--config stride2] [--engine auto]
 //! sunder inspect-db db.sdb
-//! sunder artifact-smoke [--dir out/] [--shards 4] [--config <name>]
+//! sunder artifact-smoke [--dir out/] [--shards 1] [--config <name>]
 //!                [--engine <name>] [--paper]
 //! sunder run     --rules rules.txt --input data.bin [--rate 16] [--fifo] [--summarize]
 //! sunder run     --program program.saml --input data.bin
 //! sunder stats   --rules rules.txt
 //! sunder bench   --benchmark Snort [--small]
 //! sunder telemetry-report --input trace.jsonl [--validate] [--chrome out.json]
-//! sunder serve-batch --rules rules.txt --inputs a.bin,b.bin [--shards 4] [--workers 2]
-//! sunder serve   --rules rules.txt [--addr 127.0.0.1:7700] [--shards 4]
+//! sunder serve-batch --rules rules.txt --inputs a.bin,b.bin [--shards 1] [--workers 2]
+//! sunder serve   --rules rules.txt [--addr 127.0.0.1:7700] [--shards 1]
 //!                [--obs-addr 127.0.0.1:7701] [--flight-recorder-dir flights/]
 //! sunder stat    --addr 127.0.0.1:7701 [--iterations 10] [--interval-ms 1000]
 //! sunder serve-chaos --rules rules.txt --sessions 32 [--fault-plan chaos.plan]
@@ -77,7 +77,7 @@ const USAGE: &str = "usage:
   sunder telemetry-report --input <trace.jsonl> [--validate] [--chrome <out.json>]
   sunder serve-batch (--rules <file> | --program <file.saml>) --inputs <f1,f2,...>
                  [--shards <n>] [--workers <n>] [--config identity|nibble|stride2|stride4]
-                 [--engine sparse|dense|adaptive] [--verify]
+                 [--engine auto|sparse|dense] [--verify]
   sunder serve   (--rules <file> | --program <file.saml>) [--addr <host:port>]
                  [--shards <n>] [--config <name>] [--engine <name>]
                  [--max-sessions <n>] [--queue-depth <n>] [--chunk-deadline-ms <n>]
@@ -91,7 +91,9 @@ const USAGE: &str = "usage:
                  [--fault-plan <file>] [--artifact <out.jsonl>] [--reload-rules <file>]
                  [--shards <n>] [--config <name>] [--engine <name>] [--seed <n>]
                  [--chunk-size <n>] [--drain-deadline-ms <n>]
-                 (exit: 0 clean, 1 divergence/unattributed, 2 usage, 3 faults attributed)";
+                 (exit: 0 clean, 1 divergence/unattributed, 2 usage, 3 faults attributed)
+  --engine is auto|sparse|dense (default auto: chosen once per compiled
+  pipeline); --shards defaults to 1";
 
 /// Minimal flag parser: `--key value` pairs plus boolean flags.
 struct Flags<'a> {
@@ -139,15 +141,15 @@ fn parse_config(flags: &Flags) -> Result<sunder::oracle::PipelineConfig, String>
     }
 }
 
-/// Parses `--engine` into an engine kind (default `adaptive`).
-fn parse_engine(flags: &Flags) -> Result<sunder::sim::EngineKind, String> {
-    use sunder::sim::EngineKind;
+/// Parses `--engine` into an engine request (default `auto`).
+fn parse_engine(flags: &Flags) -> Result<sunder::sim::EngineChoice, String> {
+    use sunder::sim::EngineChoice;
     match flags.value("--engine") {
-        None => Ok(EngineKind::Adaptive),
-        Some(name) => EngineKind::ALL
+        None => Ok(EngineChoice::Auto),
+        Some(name) => EngineChoice::ALL
             .into_iter()
-            .find(|k| k.name().eq_ignore_ascii_case(name))
-            .ok_or_else(|| format!("unknown engine {name:?} (use sparse, dense, or adaptive)")),
+            .find(|c| c.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| format!("unknown engine {name:?} (use auto, sparse, or dense)")),
     }
 }
 
@@ -360,7 +362,7 @@ fn cmd_serve_batch(args: &[String]) -> Result<(), String> {
         streams.push(fs::read(path).map_err(|e| format!("read input {path}: {e}"))?);
     }
 
-    let shards: usize = parse_num(&flags, "--shards", 4)?;
+    let shards: usize = parse_num(&flags, "--shards", 1)?;
     let workers: usize = parse_num(
         &flags,
         "--workers",
@@ -415,7 +417,7 @@ fn cmd_serve_batch(args: &[String]) -> Result<(), String> {
         report.shards,
         report.workers,
         config.name(),
-        engine.name(),
+        pipeline.selection(),
         report.steals,
         report.wall.as_secs_f64() * 1e3,
     );
@@ -434,7 +436,7 @@ fn parse_server_config(flags: &Flags) -> Result<sunder::shard::ServerConfig, Str
     let defaults = ServerConfig::default();
     Ok(ServerConfig {
         config: parse_config(flags)?,
-        spec: ShardSpec::MaxShards(parse_num(flags, "--shards", 4)?),
+        spec: ShardSpec::MaxShards(parse_num(flags, "--shards", 1)?),
         engine: parse_engine(flags)?,
         max_sessions: parse_num(flags, "--max-sessions", defaults.max_sessions)?,
         per_tenant_sessions: parse_num(flags, "--per-tenant", defaults.per_tenant_sessions)?,
@@ -901,7 +903,7 @@ fn cmd_compile_db(args: &[String]) -> Result<(), String> {
     let nfa = load_nfa(&flags)?;
     let config = parse_config(&flags)?;
     let engine = parse_engine(&flags)?;
-    let shards: usize = parse_num(&flags, "--shards", 4)?;
+    let shards: usize = parse_num(&flags, "--shards", 1)?;
     let out = flags.required("-o")?;
     let db = CompiledDb::compile(&nfa, config, SpecParams::MaxShards(shards), engine)
         .map_err(|e| e.to_string())?;
@@ -914,7 +916,7 @@ fn cmd_compile_db(args: &[String]) -> Result<(), String> {
          {size} bytes -> {out}",
         parts.key,
         parts.config.name(),
-        parts.engine.name(),
+        parts.sharded.selection(),
         parts.sharded.num_shards(),
     );
     Ok(())
@@ -935,7 +937,13 @@ fn cmd_inspect_db(args: &[String]) -> Result<(), String> {
     println!("  pipeline key     {:016x}", mapped.key());
     println!("  config           {}", mapped.config().name());
     println!("  sharding spec    {}", mapped.spec());
-    println!("  engine           {}", mapped.engine().name());
+    let selection = mapped.selection();
+    println!("  engine           {}", selection.kind);
+    println!(
+        "  engine reason    {} (requested {})",
+        selection.reason,
+        selection.choice()
+    );
     println!("  shards           {}", mapped.num_shards());
     println!(
         "  file length      {} bytes ({})",
@@ -975,7 +983,7 @@ fn cmd_artifact_smoke(args: &[String]) -> Result<(), String> {
         None => sunder::oracle::PipelineConfig::Stride2,
     };
     let engine = parse_engine(&flags)?;
-    let shards: usize = parse_num(&flags, "--shards", 4)?;
+    let shards: usize = parse_num(&flags, "--shards", 1)?;
     let spec = SpecParams::MaxShards(shards);
     let scale = if flags.flag("--paper") {
         Scale::paper()

@@ -189,6 +189,62 @@ fn serve_daemon_takes_stdin_commands_and_drains() {
     assert!(docs[0].contains("\"active\":0"), "{stdout}");
 }
 
+/// With no `--shards` or `--engine`, `serve` runs one shard on an engine
+/// resolved at compile time, and a default-flag `compile-db` artifact
+/// hot-reloads into it.
+#[test]
+fn serve_defaults_to_one_shard_and_a_resolved_engine() {
+    use std::process::Stdio;
+    let rules = write_temp(
+        "default-rules.txt",
+        b".*password=[a-z]{4}\n[0-9]{3}\nab+c\nxyz\n",
+    );
+    let sdb = write_temp("default-rules.sdb", b"");
+    let out = bin()
+        .args(["compile-db", "--rules"])
+        .arg(&rules)
+        .arg("-o")
+        .arg(&sdb)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains(", 1 shards,"), "{stderr}");
+    let out = bin().arg("inspect-db").arg(&sdb).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("(requested auto)"), "{stdout}");
+    assert!(!stdout.contains("engine           auto"), "{stdout}");
+
+    let mut child = bin()
+        .args(["serve", "--rules"])
+        .arg(&rules)
+        .args(["--addr", "127.0.0.1:0"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    write!(stdin, "status\nreload {}\nquit\n", sdb.display()).unwrap();
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("now epoch 2"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let doc = stdout
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .expect("status line");
+    assert!(doc.contains("\"shards\":1"), "{doc}");
+    assert!(doc.contains("\"request\":\"auto\""), "{doc}");
+    assert!(
+        doc.contains("\"engine\":\"sparse\"") || doc.contains("\"engine\":\"dense\""),
+        "{doc}"
+    );
+}
+
 #[test]
 fn serve_chaos_clean_run_exits_zero() {
     let rules = write_temp("chaos-rules.txt", b"ab+c\n[0-9]{3}\n");

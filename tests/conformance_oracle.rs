@@ -153,7 +153,7 @@ fn detects_corrupted_charset() {
         &transformed,
         map,
         config,
-        EngineKind::Adaptive,
+        EngineKind::Dense,
         input,
     )
     .unwrap_err();

@@ -1,15 +1,14 @@
-//! Engine equivalence over the full benchmark suite: the sparse, dense
-//! bit-parallel, and adaptive engines must produce byte-identical report
-//! traces on every suite workload. This is the correctness gate behind
-//! the adaptive selector — switching representation mid-stream must never
-//! change what is reported, or when.
+//! Engine equivalence over the full benchmark suite: the sparse and dense
+//! bit-parallel engines must produce byte-identical report traces on
+//! every suite workload. This is the correctness gate behind the
+//! compile-time engine selector — which engine it picks must never change
+//! what is reported, or when.
 
 use sunder::sim::{EngineKind, TraceSink};
 use sunder::{Benchmark, InputView, Scale};
 
-/// Small enough to keep the 19 x 3 sweep in test time, large enough to
-/// exercise start-period gating, padding, and mid-stream frontier
-/// hand-over in the adaptive engine.
+/// Small enough to keep the 19 x 2 sweep in test time, large enough to
+/// exercise start-period gating and padding.
 const TEST_SCALE: Scale = Scale {
     state_fraction: 0.02,
     input_len: 4096,
@@ -47,23 +46,23 @@ fn engines_agree_on_all_suite_benchmarks() {
     }
 }
 
-/// The adaptive engine must also agree when driven cycle-by-cycle through
-/// the `step` API (the suite above uses the batched `run` path).
+/// Every engine must also agree when driven cycle-by-cycle through the
+/// `step` API (the suite above uses the batched `run` path).
 #[test]
-fn adaptive_step_api_matches_run() {
+fn step_api_matches_run() {
     let bench = Benchmark::Dotstar03;
     let w = bench.build(TEST_SCALE);
     let input = InputView::new(&w.input, 8, 1).expect("byte view");
 
-    let mut run_sink = TraceSink::new();
-    EngineKind::Adaptive
-        .build(&w.nfa)
-        .run(&input, &mut run_sink);
+    for kind in EngineKind::ALL {
+        let mut run_sink = TraceSink::new();
+        kind.build(&w.nfa).run(&input, &mut run_sink);
 
-    let mut engine = EngineKind::Adaptive.build(&w.nfa);
-    let mut step_sink = TraceSink::new();
-    for v in input.iter_ref() {
-        engine.step(v.symbols, v.valid, &mut step_sink);
+        let mut engine = kind.build(&w.nfa);
+        let mut step_sink = TraceSink::new();
+        for v in input.iter_ref() {
+            engine.step(v.symbols, v.valid, &mut step_sink);
+        }
+        assert_eq!(run_sink.events, step_sink.events, "{kind}");
     }
-    assert_eq!(run_sink.events, step_sink.events);
 }
