@@ -6,7 +6,7 @@
 //! and polls [`Budget::exceeded`] every [`Budget::check_every`] items. An
 //! unset budget ([`Budget::unlimited`]) is a single branch per run, not
 //! per cycle — callers are expected to test [`Budget::is_unlimited`] once
-//! and take their uninstrumented fast path.
+//! and then never poll.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -94,7 +94,7 @@ pub struct Budget {
 
 impl Budget {
     /// A budget that never stops anything. Loops must treat this as "run
-    /// the uninstrumented fast path".
+    /// to the end without polling".
     pub fn unlimited() -> Self {
         Self::default()
     }

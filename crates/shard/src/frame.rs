@@ -341,9 +341,18 @@ impl ClientFrame {
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
         match self {
             ClientFrame::Hello { version, tenant } => {
+                let tenant_len = u16::try_from(tenant.len()).map_err(|_| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidInput,
+                        format!(
+                            "Hello tenant of {} bytes exceeds the u16 length prefix",
+                            tenant.len()
+                        ),
+                    )
+                })?;
                 let mut p = Vec::with_capacity(4 + tenant.len());
                 p.extend_from_slice(&version.to_be_bytes());
-                p.extend_from_slice(&(tenant.len() as u16).to_be_bytes());
+                p.extend_from_slice(&tenant_len.to_be_bytes());
                 p.extend_from_slice(tenant.as_bytes());
                 write_frame(w, 0x01, &p)
             }
@@ -411,6 +420,23 @@ mod tests {
         let err = frame_len(u32::MAX as usize).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         assert!(frame_len(usize::MAX).is_err());
+    }
+
+    #[test]
+    fn oversized_hello_tenant_is_an_error_not_truncated() {
+        let mut buf = Vec::new();
+        let frame = ClientFrame::Hello {
+            version: PROTOCOL_VERSION,
+            tenant: "t".repeat(65_536),
+        };
+        let err = frame.write_to(&mut buf).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(buf.is_empty(), "nothing written for a rejected frame");
+        // The largest representable tenant still round-trips.
+        round_trip_client(ClientFrame::Hello {
+            version: PROTOCOL_VERSION,
+            tenant: "t".repeat(65_535),
+        });
     }
 
     fn round_trip_client(frame: ClientFrame) {

@@ -35,8 +35,9 @@ use std::sync::Arc;
 
 use sunder_automata::input::InputView;
 use sunder_automata::{AutomataError, ByteClasses, Nfa, StartKind, StateId};
+use sunder_resilience::{Budget, RunOutcome};
 
-use crate::exec::Engine;
+use crate::exec::{run_segmented, Engine};
 use crate::simd;
 use crate::sink::{ReportEvent, ReportSink};
 use crate::storage::TableBuf;
@@ -621,24 +622,48 @@ impl<'a> DenseEngine<'a> {
         input: &InputView,
         sink: &mut S,
     ) -> Result<(), AutomataError> {
+        self.try_run_budgeted(input, sink, &Budget::unlimited())
+            .map(|_| ())
+    }
+
+    /// Runs the input stream under a cooperative [`Budget`], polling it
+    /// between segments as [`Engine::run_budgeted`] describes: the one run
+    /// loop behind [`DenseEngine::run`]. Activity-blind sinks get the
+    /// statically dispatched quiet step.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AutomataError::StrideMismatch`] if the view was built for
+    /// a different stride than the automaton's.
+    fn try_run_budgeted<S: ReportSink + ?Sized>(
+        &mut self,
+        input: &InputView,
+        sink: &mut S,
+        budget: &Budget,
+    ) -> Result<RunOutcome, AutomataError> {
         if input.stride() != self.nfa.stride() {
             return Err(AutomataError::StrideMismatch {
                 expected: self.nfa.stride(),
                 found: input.stride(),
             });
         }
-        if sink.wants_cycle_activity() || sink.wants_active_states() {
-            for v in input.iter_ref() {
-                self.step(v.symbols, v.valid, sink);
+        let observe = sink.wants_cycle_activity() || sink.wants_active_states();
+        let mut it = input.iter_ref();
+        Ok(run_segmented(input.num_cycles(), budget, |pos, end| {
+            let cycles = it.by_ref().take(end - pos);
+            if observe {
+                for v in cycles {
+                    self.step(v.symbols, v.valid, sink);
+                }
+            } else {
+                // The sink declared no interest in per-cycle activity, so
+                // the quiet step legally drops those callbacks.
+                for v in cycles {
+                    self.step_quiet(v.symbols, v.valid, sink);
+                }
             }
-        } else {
-            // The sink declared no interest in per-cycle activity, so the
-            // quiet step legally drops those callbacks.
-            for v in input.iter_ref() {
-                self.step_quiet(v.symbols, v.valid, sink);
-            }
-        }
-        Ok(())
+            self.cycle
+        }))
     }
 }
 
@@ -672,8 +697,14 @@ impl Engine for DenseEngine<'_> {
     }
 
     // Statically dispatched loop: one virtual call per run, not per cycle.
-    fn run(&mut self, input: &InputView, sink: &mut dyn ReportSink) {
-        DenseEngine::run(self, input, sink);
+    fn run_budgeted(
+        &mut self,
+        input: &InputView,
+        sink: &mut dyn ReportSink,
+        budget: &Budget,
+    ) -> RunOutcome {
+        self.try_run_budgeted(input, sink, budget)
+            .expect("input view stride must match the automaton stride")
     }
 }
 

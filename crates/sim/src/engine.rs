@@ -21,10 +21,11 @@
 
 use std::sync::Arc;
 
-use sunder_automata::input::InputView;
+use sunder_automata::input::{InputView, VectorRefs};
 use sunder_automata::{AutomataError, Nfa, StateId};
+use sunder_resilience::{Budget, RunOutcome};
 
-use crate::exec::Engine;
+use crate::exec::{run_segmented, Engine};
 use crate::fastpath::{SparseTables, StartIndex, ENCODING_KINDS};
 use crate::sink::{ReportEvent, ReportSink};
 
@@ -398,13 +399,13 @@ impl<'a> Simulator<'a> {
         self.active.len()
     }
 
-    /// Counts how many cycles of `input`, starting at cycle position
-    /// `from_cycle` within the view, are provably idle: the frontier is
-    /// empty, no start-of-data start can fire, and the leading symbol of
-    /// each cycle misses the start LUT — so stepping them would produce no
-    /// active states and no reports. Returns 0 whenever the frontier is
-    /// non-empty.
-    pub(crate) fn prefilter_scan(&self, input: &InputView, from_cycle: u64) -> u64 {
+    /// Counts how many cycles of `input` in the cycle-position range
+    /// `from..end` (positions within the view) are provably idle: the
+    /// frontier is empty, no start-of-data start can fire, and the leading
+    /// symbol of each cycle misses the start LUT — so stepping them would
+    /// produce no active states and no reports. Returns 0 whenever the
+    /// frontier is non-empty.
+    fn prefilter_scan(&self, input: &InputView, from: usize, end: usize) -> usize {
         if !self.active.is_empty() {
             return 0;
         }
@@ -413,22 +414,18 @@ impl<'a> Simulator<'a> {
         }
         let stride = self.tables.stride;
         let syms = input.symbols();
-        let total = input.num_cycles() as u64;
-        let mut c = from_cycle;
-        while c < total && !self.tables.start_lut_hit(syms[(c as usize) * stride]) {
+        let mut c = from;
+        while c < end && !self.tables.start_lut_hit(syms[c * stride]) {
             c += 1;
         }
-        c - from_cycle
+        c - from
     }
 
     /// Advances over `cycles` prefiltered (provably idle) cycles without
     /// stepping, updating the skip statistics.
-    pub(crate) fn skip_cycles(&mut self, cycles: u64) {
-        self.cycle += cycles;
-        self.prefilter_skipped += cycles;
-        if sunder_telemetry::enabled() {
-            sunder_telemetry::counter_add("prefilter_skipped_total", &[], cycles);
-        }
+    fn skip_cycles(&mut self, cycles: usize) {
+        self.cycle += cycles as u64;
+        self.prefilter_skipped += cycles as u64;
     }
 
     /// Runs the whole input stream through the automaton.
@@ -459,69 +456,110 @@ impl<'a> Simulator<'a> {
         input: &InputView,
         sink: &mut S,
     ) -> Result<(), AutomataError> {
+        self.try_run_budgeted(input, sink, &Budget::unlimited())
+            .map(|_| ())
+    }
+
+    /// Runs the input stream under a cooperative [`Budget`], polling it
+    /// between segments as [`Engine::run_budgeted`] describes: the one run
+    /// loop behind [`Simulator::run`]. Within a segment, activity-blind
+    /// sinks get the prefiltered quiet loop (skipped cycles count toward
+    /// the poll interval like stepped ones); sinks that observe activity
+    /// get the exact per-cycle step.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AutomataError::StrideMismatch`] if the view was built for
+    /// a different stride than the automaton's.
+    fn try_run_budgeted<S: ReportSink + ?Sized>(
+        &mut self,
+        input: &InputView,
+        sink: &mut S,
+        budget: &Budget,
+    ) -> Result<RunOutcome, AutomataError> {
         if input.stride() != self.nfa.stride() {
             return Err(AutomataError::StrideMismatch {
                 expected: self.nfa.stride(),
                 found: input.stride(),
             });
         }
+        let observe = sink.wants_cycle_activity() || sink.wants_active_states();
+        let skipped_before = self.prefilter_skipped;
         let mut it = input.iter_ref();
-        if sink.wants_cycle_activity() || sink.wants_active_states() {
-            // The sink observes every cycle: no skipping allowed.
-            for v in it {
-                self.step(v.symbols, v.valid, sink);
+        let outcome = run_segmented(input.num_cycles(), budget, |pos, end| {
+            if observe {
+                // The sink observes every cycle: no skipping allowed.
+                for v in it.by_ref().take(end - pos) {
+                    self.step(v.symbols, v.valid, sink);
+                }
+            } else if self.tables.stride == 1 {
+                self.run1_quiet(input.symbols(), pos, end, sink);
+            } else {
+                self.run_quiet(input, &mut it, pos, end, sink);
             }
-            return Ok(());
+            self.cycle
+        });
+        // One counter update per run keeps the registry off the segment
+        // path.
+        let skipped = self.prefilter_skipped - skipped_before;
+        if skipped > 0 && sunder_telemetry::enabled() {
+            sunder_telemetry::counter_add("prefilter_skipped_total", &[], skipped);
         }
-        // Stride 1 never pads, so the cycle stream IS the symbol slice:
-        // walk it directly, with the prefilter scan fused into the loop.
-        if self.tables.stride == 1 {
-            self.run1_quiet(input, sink);
-            return Ok(());
-        }
-        // Prefiltered loop. `pos` tracks the cycle position within this
-        // view (the engine's own counter may be offset when the caller
-        // resumed mid-stream, in which case the scan never fires).
-        let mut pos: u64 = 0;
-        let total = input.num_cycles() as u64;
-        while pos < total {
-            let skip = self.prefilter_scan(input, pos);
+        Ok(outcome)
+    }
+
+    /// Prefiltered quiet loop over cycle positions `pos..end` of a strided
+    /// view; `it` must stand at `pos` and is left at `end`. `pos` tracks
+    /// the cycle position within this view (the engine's own counter may
+    /// be offset when the caller resumed mid-stream).
+    fn run_quiet<S: ReportSink + ?Sized>(
+        &mut self,
+        input: &InputView,
+        it: &mut VectorRefs<'_>,
+        mut pos: usize,
+        end: usize,
+        sink: &mut S,
+    ) {
+        while pos < end {
+            let skip = self.prefilter_scan(input, pos, end);
             if skip > 0 {
                 self.skip_cycles(skip);
-                it.advance_cycles(skip as usize);
+                it.advance_cycles(skip);
                 pos += skip;
-                if pos >= total {
+                if pos >= end {
                     break;
                 }
             }
             let v = it.next().expect("iterator covers num_cycles vectors");
-            // The sink declared no interest in per-cycle activity above,
+            // The caller checked that the sink ignores per-cycle activity,
             // so the quiet step legally drops those callbacks.
             self.step_quiet(v.symbols, v.valid, sink);
             pos += 1;
         }
-        Ok(())
     }
 
-    /// Stride-1 whole-stream loop for activity-blind sinks: indexes the
-    /// view's symbol slice directly (no per-cycle iterator or stride
+    /// Stride-1 quiet loop over positions `pos..end` for activity-blind
+    /// sinks: stride 1 never pads, so the cycle stream IS the symbol
+    /// slice. Indexes it directly (no per-cycle iterator or stride
     /// dispatch) and inlines the rare-byte prefilter scan between steps.
-    /// Semantically identical to the general prefiltered loop.
-    fn run1_quiet<S: ReportSink + ?Sized>(&mut self, input: &InputView, sink: &mut S) {
-        let syms = input.symbols();
-        let total = input.num_cycles();
-        debug_assert_eq!(total, syms.len(), "stride 1 has one symbol per cycle");
-        let mut pos = 0usize;
-        while pos < total {
+    /// Semantically identical to [`Simulator::run_quiet`].
+    fn run1_quiet<S: ReportSink + ?Sized>(
+        &mut self,
+        syms: &[u16],
+        mut pos: usize,
+        end: usize,
+        sink: &mut S,
+    ) {
+        while pos < end {
             if self.active.is_empty() && (self.cycle != 0 || self.tables.sod_starts.is_empty()) {
                 // Frontier is provably idle until the start LUT hits.
                 let from = pos;
-                while pos < total && !self.tables.start_lut_hit(syms[pos]) {
+                while pos < end && !self.tables.start_lut_hit(syms[pos]) {
                     pos += 1;
                 }
                 if pos > from {
-                    self.skip_cycles((pos - from) as u64);
-                    if pos >= total {
+                    self.skip_cycles(pos - from);
+                    if pos >= end {
                         break;
                     }
                 }
@@ -570,8 +608,14 @@ impl Engine for Simulator<'_> {
     }
 
     // Statically dispatched loop: one virtual call per run, not per cycle.
-    fn run(&mut self, input: &InputView, sink: &mut dyn ReportSink) {
-        Simulator::run(self, input, sink);
+    fn run_budgeted(
+        &mut self,
+        input: &InputView,
+        sink: &mut dyn ReportSink,
+        budget: &Budget,
+    ) -> RunOutcome {
+        self.try_run_budgeted(input, sink, budget)
+            .expect("input view stride must match the automaton stride")
     }
 }
 

@@ -94,30 +94,28 @@ pub trait Engine {
     /// cycle.
     fn step(&mut self, vector: &[u16], valid: usize, sink: &mut dyn ReportSink) -> usize;
 
-    /// Runs the whole input stream through the automaton.
+    /// Runs the whole input stream through the automaton: the run loop of
+    /// [`Engine::run_budgeted`] under an unlimited budget.
     ///
     /// # Panics
     ///
     /// Panics if the view's stride does not match the automaton's.
     fn run(&mut self, input: &InputView, sink: &mut dyn ReportSink) {
-        assert_eq!(
-            input.stride(),
-            self.nfa().stride(),
-            "input view stride must match the automaton stride"
-        );
-        for v in input.iter_ref() {
-            self.step(v.symbols, v.valid, sink);
-        }
+        self.run_budgeted(input, sink, &Budget::unlimited());
     }
 
-    /// Runs the input stream under a cooperative [`Budget`].
+    /// Runs the input stream under a cooperative [`Budget`]. This is each
+    /// engine's only run loop, statically dispatched: one virtual call per
+    /// run, not per cycle.
     ///
-    /// An unlimited budget delegates straight to [`Engine::run`] — one
-    /// branch per run, so an unset budget costs nothing on the hot cycle
-    /// loop. Otherwise the loop polls [`Budget::exceeded`] every
-    /// [`Budget::poll_interval`] cycles and stops early with
-    /// [`RunOutcome::Interrupted`] when the deadline passes or the cancel
-    /// token trips.
+    /// The loop walks the input in segments of [`Budget::poll_interval`]
+    /// cycles, polls [`Budget::exceeded`] after each full segment, and
+    /// stops early with [`RunOutcome::Interrupted`] when the deadline
+    /// passes or the cancel token trips; `at_cycle` is then the engine
+    /// clock, a multiple of the interval past where this run began.
+    /// Within a segment the engine runs its fast loop (the sparse
+    /// engine's rare-byte prefilter counts skipped cycles toward the
+    /// interval). An unlimited budget is one unpolled segment.
     ///
     /// # Panics
     ///
@@ -127,33 +125,39 @@ pub trait Engine {
         input: &InputView,
         sink: &mut dyn ReportSink,
         budget: &Budget,
-    ) -> RunOutcome {
-        if budget.is_unlimited() {
-            self.run(input, sink);
-            return RunOutcome::Completed;
-        }
-        assert_eq!(
-            input.stride(),
-            self.nfa().stride(),
-            "input view stride must match the automaton stride"
-        );
-        let poll_every = u64::from(budget.poll_interval());
-        let mut since_poll = 0u64;
-        for v in input.iter_ref() {
-            self.step(v.symbols, v.valid, sink);
-            since_poll += 1;
-            if since_poll >= poll_every {
-                since_poll = 0;
-                if let Some(reason) = budget.exceeded() {
-                    return RunOutcome::Interrupted {
-                        at_cycle: self.cycle(),
-                        reason,
-                    };
-                }
+    ) -> RunOutcome;
+}
+
+/// The poll grid every engine's run loop follows: calls `segment(pos,
+/// end)` for consecutive cycle-position ranges covering `0..total`, each
+/// [`Budget::poll_interval`] cycles long except possibly the last, and
+/// polls the budget after each full range. An unlimited budget is one
+/// range spanning the whole input, never polled. `segment` runs the
+/// engine over its range and returns the engine clock, which becomes
+/// `at_cycle` when a poll trips.
+pub(crate) fn run_segmented(
+    total: usize,
+    budget: &Budget,
+    mut segment: impl FnMut(usize, usize) -> u64,
+) -> RunOutcome {
+    let len = if budget.is_unlimited() {
+        usize::MAX
+    } else {
+        budget.poll_interval() as usize
+    };
+    let mut pos = 0usize;
+    while pos < total {
+        let end = total.min(pos.saturating_add(len));
+        let at_cycle = segment(pos, end);
+        let full = end - pos == len;
+        pos = end;
+        if full {
+            if let Some(reason) = budget.exceeded() {
+                return RunOutcome::Interrupted { at_cycle, reason };
             }
         }
-        RunOutcome::Completed
     }
+    RunOutcome::Completed
 }
 
 /// Which functional engine runs.
