@@ -21,9 +21,16 @@
 //! typed [`ArtifactError`]; the corruption conformance suite locks down
 //! that no mutation panics or escapes validation.
 //!
-//! The database is content-addressed: the header carries the same
-//! FNV-1a pipeline key the in-memory `PipelineCache` uses, recomputed
-//! at load from the embedded source automaton and rejected on mismatch
+//! One type models a compiled pipeline, in memory and on disk:
+//! [`CompiledPipeline`]. [`CompiledPipeline::compile`] builds it,
+//! [`db_bytes`] / [`write_db`] persist it through its
+//! [`CompiledPipeline::parts`], and [`MappedDb::into_parts`] hands a
+//! loaded one back. `sunder-shard` re-exports it and caches it as is.
+//!
+//! The database is content-addressed: the header carries the
+//! [`pipeline_key`] of its source automaton and parameters — the key
+//! `sunder-shard`'s `PipelineCache` files it under — recomputed at load
+//! from the embedded source automaton and rejected on mismatch
 //! ([`ArtifactError::StaleHash`]), so a cache can trust `<key>.sdb`
 //! files on disk as a second tier.
 
@@ -33,17 +40,19 @@ pub mod corrupt;
 pub mod error;
 pub mod format;
 pub mod mapped;
+pub mod pipeline;
 pub mod validate;
 pub mod write;
 
 use sunder_automata::partition::{partition, partition_into, PartitionOptions, ShardPlan};
 use sunder_automata::{AutomataError, Nfa};
 use sunder_oracle::PipelineConfig;
-use sunder_sim::{EngineChoice, EngineKind};
+use sunder_sim::EngineKind;
 
 pub use error::ArtifactError;
-pub use mapped::{LoadedPipeline, MappedDb, Mapping};
-pub use write::{db_bytes, write_db, CompiledDb, DbParts};
+pub use mapped::{MappedDb, Mapping};
+pub use pipeline::{pipeline_key, CompiledPipeline, PipelineKey};
+pub use write::{db_bytes, write_db, DbParts};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -58,9 +67,9 @@ pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a over separated parts, bit-compatible with the pipeline-cache
-/// key in `sunder-shard`: a 0xff separator is folded in after each part
-/// so `("ab", "c")` and `("a", "bc")` hash differently.
+/// FNV-1a over separated parts — the [`PipelineKey`] fold: a 0xff
+/// separator is folded in after each part so `("ab", "c")` and
+/// `("a", "bc")` hash differently.
 pub fn fnv1a_parts(parts: &[&str]) -> u64 {
     let mut h = FNV_OFFSET;
     for part in parts {
@@ -74,21 +83,21 @@ pub fn fnv1a_parts(parts: &[&str]) -> u64 {
     h
 }
 
-/// The sharding parameters of a compiled pipeline, as persisted in a
-/// database. Mirrors `sunder-shard`'s `ShardSpec` (which converts to
-/// and from this type); lives here so the artifact format does not
-/// depend on the service layer.
+/// How a compiled pipeline is sharded, as persisted in a database.
+/// `sunder-shard` re-exports it as `ShardSpec`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpecParams {
-    /// Balance into at most this many shards.
+    /// Balance into at most this many shards
+    /// ([`sunder_automata::partition::partition_into`]).
     MaxShards(usize),
-    /// Pack toward a per-shard STE budget.
+    /// Pack toward a per-shard STE budget
+    /// ([`sunder_automata::partition::partition`]).
     Budget(PartitionOptions),
 }
 
 impl SpecParams {
-    /// Stable text folded into the pipeline key. Must stay bit-identical
-    /// to `sunder-shard`'s cache-key text (a cross-crate test pins this).
+    /// Stable text folded into the [`PipelineKey`] and stored in the
+    /// database's spec-key section.
     pub fn key_text(&self) -> String {
         match self {
             SpecParams::MaxShards(k) => format!("max-shards={k}"),
@@ -149,36 +158,6 @@ impl std::fmt::Display for SpecParams {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.key_text())
     }
-}
-
-/// The content-addressed pipeline key over already-serialized source
-/// ANML — bit-compatible with `sunder-shard`'s `pipeline_key` (which
-/// serializes the automaton and calls the same FNV-1a fold). The key
-/// covers the engine *request*, not the resolved kind, so it is known
-/// before compiling.
-pub fn db_key_from_anml(
-    config: PipelineConfig,
-    spec: &SpecParams,
-    engine: EngineChoice,
-    source_anml: &str,
-) -> u64 {
-    fnv1a_parts(&[config.name(), &spec.key_text(), engine.name(), source_anml])
-}
-
-/// The content-addressed pipeline key of `(source automaton, config,
-/// sharding spec, engine request)`.
-pub fn db_key(
-    source: &Nfa,
-    config: PipelineConfig,
-    spec: &SpecParams,
-    engine: EngineChoice,
-) -> u64 {
-    db_key_from_anml(
-        config,
-        spec,
-        engine,
-        &sunder_automata::anml::serialize(source),
-    )
 }
 
 /// Index of `config` in `PipelineConfig::ALL` (the stored tag).

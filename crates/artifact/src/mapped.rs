@@ -40,7 +40,7 @@ use sunder_transform::PositionMap;
 use crate::error::ArtifactError;
 use crate::format::{CodeRec, GlobalMeta, SectionKind, ShardMeta};
 use crate::validate::{validate_bytes, RawDb, RawSection};
-use crate::{db_key_from_anml, SpecParams};
+use crate::{CompiledPipeline, PipelineKey, SpecParams};
 
 #[cfg(unix)]
 mod sys {
@@ -276,26 +276,6 @@ fn tail_bits_zero(words: &[u64], bits: usize) -> bool {
     }
 }
 
-/// Everything loaded from a database, by value — the handoff into
-/// `sunder-shard`'s `CompiledPipeline` (whose fields it mirrors).
-#[derive(Debug)]
-pub struct LoadedPipeline {
-    /// Content-addressed pipeline key (validated against the content).
-    pub key: u64,
-    /// Transformation configuration.
-    pub config: PipelineConfig,
-    /// Sharding parameters.
-    pub spec: SpecParams,
-    /// Canonical ANML of the source automaton.
-    pub source_anml: String,
-    /// The transformed (executable) automaton.
-    pub nfa: Nfa,
-    /// Report-position fold back to original-symbol coordinates.
-    pub map: PositionMap,
-    /// The executable sharded engine, tables borrowed from the mapping.
-    pub sharded: ShardedEngine,
-}
-
 /// A validated, executable pattern database.
 ///
 /// Construction performs the full two-phase validation; once a
@@ -304,7 +284,9 @@ pub struct LoadedPipeline {
 /// which stays alive for as long as any engine clone does.
 #[derive(Debug)]
 pub struct MappedDb {
-    pipeline: LoadedPipeline,
+    pipeline: CompiledPipeline,
+    spec: SpecParams,
+    source_anml: String,
     file_len: usize,
     mmapped: bool,
     sections: Vec<(SectionKind, u32, usize, usize)>,
@@ -343,7 +325,7 @@ impl MappedDb {
 
     /// The validated pipeline key.
     pub fn key(&self) -> u64 {
-        self.pipeline.key
+        self.pipeline.key.0
     }
 
     /// The transformation configuration.
@@ -353,7 +335,7 @@ impl MappedDb {
 
     /// The sharding parameters.
     pub fn spec(&self) -> SpecParams {
-        self.pipeline.spec
+        self.spec
     }
 
     /// The engine every shard runs, as the selector resolved it.
@@ -369,7 +351,7 @@ impl MappedDb {
 
     /// Canonical ANML of the source automaton.
     pub fn source_anml(&self) -> &str {
-        &self.pipeline.source_anml
+        &self.source_anml
     }
 
     /// The transformed (executable) automaton.
@@ -414,8 +396,10 @@ impl MappedDb {
         self.borrowed_tables
     }
 
-    /// Consumes the database, yielding the loaded pipeline by value.
-    pub fn into_parts(self) -> LoadedPipeline {
+    /// Consumes the database, yielding the loaded pipeline by value: the
+    /// engines keep borrowing their tables from the mapping (pinned
+    /// inside the `ShardedEngine`), nothing is recompiled.
+    pub fn into_parts(self) -> CompiledPipeline {
         self.pipeline
     }
 }
@@ -848,7 +832,7 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
     // Content-hash cross-check: the header key must be reproducible from
     // the embedded identity, or the file describes a different pipeline
     // than it claims (e.g. a stale database after a config change).
-    let computed = db_key_from_anml(config, &spec, selection.choice(), source_anml);
+    let computed = PipelineKey::of_anml(source_anml, config, spec, selection.choice()).0;
     if computed != raw.header.pipeline_key {
         return Err(ArtifactError::StaleHash {
             header: raw.header.pipeline_key,
@@ -991,20 +975,20 @@ fn load(mapping: Arc<Mapping>) -> Result<MappedDb, ArtifactError> {
         .map(|s| (s.kind, s.shard, s.offset, s.len))
         .collect();
     let file_len = raw.header.file_len as usize;
-    let key = raw.header.pipeline_key;
+    let key = PipelineKey(raw.header.pipeline_key);
     let source_anml = source_anml.to_owned();
     drop(raw);
 
     Ok(MappedDb {
-        pipeline: LoadedPipeline {
+        pipeline: CompiledPipeline {
             key,
             config,
-            spec,
-            source_anml,
             nfa,
             map,
             sharded,
         },
+        spec,
+        source_anml,
         file_len,
         mmapped: mapping.is_mmapped(),
         sections,

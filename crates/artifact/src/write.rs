@@ -14,7 +14,7 @@ use sunder_automata::{anml, Nfa, StateId};
 use sunder_oracle::PipelineConfig;
 use sunder_sim::dense::DenseTables;
 use sunder_sim::fastpath::{SparseTables, StartIndex, SymCode};
-use sunder_sim::{EngineChoice, EngineKind, ShardedEngine};
+use sunder_sim::{EngineKind, ShardedEngine};
 use sunder_transform::PositionMap;
 
 use crate::error::ArtifactError;
@@ -22,11 +22,10 @@ use crate::format::{
     header_offset, CodeRec, GlobalMeta, SectionKind, ShardMeta, ENDIAN_TAG, HEADER_LEN, MAGIC,
     SECTION_ALIGN, SECTION_ENTRY_LEN, VERSION,
 };
-use crate::{config_tag, db_key, engine_tag, fnv1a_bytes, SpecParams};
+use crate::{config_tag, engine_tag, fnv1a_bytes, SpecParams};
 
 /// Borrowed view of everything the writer needs — the compiled pipeline
-/// plus its identity. Assembled from a [`CompiledDb`] or from
-/// `sunder-shard`'s cached pipelines.
+/// plus its identity. [`crate::CompiledPipeline::parts`] assembles it.
 #[derive(Debug)]
 pub struct DbParts<'a> {
     /// Content-addressed pipeline key (must match the parameters below;
@@ -47,89 +46,6 @@ pub struct DbParts<'a> {
     pub map: PositionMap,
     /// The compiled sharded engine whose tables are persisted.
     pub sharded: &'a ShardedEngine,
-}
-
-/// A pipeline compiled for persistence: owns everything [`DbParts`]
-/// borrows. The standalone compile path for tests and the CLI; the
-/// batch service persists straight from its cache instead.
-#[derive(Debug)]
-pub struct CompiledDb {
-    /// Content-addressed pipeline key.
-    pub key: u64,
-    /// Transformation configuration.
-    pub config: PipelineConfig,
-    /// Sharding parameters.
-    pub spec: SpecParams,
-    /// Canonical ANML of the source automaton.
-    pub source_anml: String,
-    /// The transformed (executable) automaton.
-    pub nfa: Nfa,
-    /// Report-position fold back to original-symbol coordinates.
-    pub map: PositionMap,
-    /// The compiled sharded engine (its `selection()` is the engine the
-    /// request resolved to).
-    pub sharded: ShardedEngine,
-}
-
-impl CompiledDb {
-    /// Compiles `source` under `(config, spec, engine)` into a
-    /// persistable pipeline. The engine request is resolved here, once
-    /// (see `sunder_sim::select`); a dense selection builds the dense
-    /// matrices so the database carries them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transformation and partitioning failures.
-    pub fn compile(
-        source: &Nfa,
-        config: PipelineConfig,
-        spec: SpecParams,
-        engine: impl Into<EngineChoice>,
-    ) -> Result<CompiledDb, ArtifactError> {
-        let choice = engine.into();
-        let source_anml = anml::serialize(source);
-        let key = db_key(source, config, &spec, choice);
-        let (nfa, map) = config.apply(source)?;
-        let plan = spec.apply(&nfa)?;
-        let sharded = ShardedEngine::from_plan(&nfa, plan, choice);
-        Ok(CompiledDb {
-            key,
-            config,
-            spec,
-            source_anml,
-            nfa,
-            map,
-            sharded,
-        })
-    }
-
-    /// Borrowed writer view of this pipeline.
-    pub fn parts(&self) -> DbParts<'_> {
-        DbParts {
-            key: self.key,
-            config: self.config,
-            spec: self.spec,
-            engine: self.sharded.kind(),
-            source_anml: &self.source_anml,
-            nfa: &self.nfa,
-            map: self.map,
-            sharded: &self.sharded,
-        }
-    }
-
-    /// Serializes to `.sdb` bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        db_bytes(&self.parts())
-    }
-
-    /// Writes atomically to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns i/o failures.
-    pub fn write(&self, path: &Path) -> Result<(), ArtifactError> {
-        write_db(&self.parts(), path)
-    }
 }
 
 fn bytes_of_u16(values: &[u16]) -> Vec<u8> {

@@ -7,7 +7,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use sunder_artifact::corrupt::{corpus, fix_checksum};
-use sunder_artifact::{CompiledDb, MappedDb, SpecParams};
+use sunder_artifact::{db_bytes, CompiledPipeline, MappedDb, SpecParams};
+use sunder_automata::anml;
 use sunder_automata::regex::compile_rule_set;
 use sunder_oracle::PipelineConfig;
 use sunder_sim::EngineKind;
@@ -17,14 +18,10 @@ use sunder_sim::EngineKind;
 /// variety, and reporting states.
 fn base_image() -> Vec<u8> {
     let nfa = compile_rule_set(&["ab+c", ".*net"]).expect("rules compile");
-    let db = CompiledDb::compile(
-        &nfa,
-        PipelineConfig::ALL[0],
-        SpecParams::MaxShards(1),
-        EngineKind::ALL[0],
-    )
-    .expect("compile");
-    db.to_bytes()
+    let spec = SpecParams::MaxShards(1);
+    let db = CompiledPipeline::compile(&nfa, PipelineConfig::ALL[0], spec, EngineKind::ALL[0])
+        .expect("compile");
+    db_bytes(&db.parts(spec, &anml::serialize(&nfa)))
 }
 
 #[test]

@@ -6,7 +6,10 @@
 use sunder_artifact::corrupt::fix_checksum;
 use sunder_artifact::format::{GlobalMeta, SectionKind};
 use sunder_artifact::validate::validate_bytes;
-use sunder_artifact::{db_key, ArtifactError, CompiledDb, MappedDb, SpecParams};
+use sunder_artifact::{
+    db_bytes, pipeline_key, ArtifactError, CompiledPipeline, MappedDb, SpecParams,
+};
+use sunder_automata::anml;
 use sunder_automata::regex::compile_rule_set;
 use sunder_oracle::PipelineConfig;
 use sunder_sim::{EngineChoice, EngineKind, SelectReason};
@@ -14,11 +17,13 @@ use sunder_sim::{EngineChoice, EngineKind, SelectReason};
 const CONFIG: PipelineConfig = PipelineConfig::Identity;
 const SPEC: SpecParams = SpecParams::MaxShards(1);
 
-fn auto_db(rules: &[&str]) -> CompiledDb {
+/// The compiled pipeline and its `.sdb` image.
+fn auto_db(rules: &[&str]) -> (CompiledPipeline, Vec<u8>) {
     let nfa = compile_rule_set(rules).expect("rules compile");
-    let db = CompiledDb::compile(&nfa, CONFIG, SPEC, EngineChoice::Auto).expect("compile");
-    assert_eq!(db.key, db_key(&nfa, CONFIG, &SPEC, EngineChoice::Auto));
-    db
+    let db = CompiledPipeline::compile(&nfa, CONFIG, SPEC, EngineChoice::Auto).expect("compile");
+    assert_eq!(db.key, pipeline_key(&nfa, CONFIG, SPEC, EngineChoice::Auto));
+    let bytes = db_bytes(&db.parts(SPEC, &anml::serialize(&nfa)));
+    (db, bytes)
 }
 
 #[test]
@@ -35,9 +40,9 @@ fn auto_selection_round_trips_with_its_reason() {
             SelectReason::SparseCheaper,
         ),
     ] {
-        let db = auto_db(rules);
+        let (db, bytes) = auto_db(rules);
         assert_eq!(db.sharded.kind(), kind);
-        let mapped = MappedDb::load_bytes(&db.to_bytes()).expect("load");
+        let mapped = MappedDb::load_bytes(&bytes).expect("load");
         assert_eq!(mapped.selection(), db.sharded.selection());
         assert_eq!(mapped.selection().reason, reason);
         assert_eq!(mapped.selection().choice(), EngineChoice::Auto);
@@ -68,7 +73,7 @@ fn forge_reason(bytes: &[u8], reason: u64) -> Vec<u8> {
 
 #[test]
 fn inconsistent_or_unknown_reasons_are_refused() {
-    let bytes = auto_db(&["GET /index", "POST /login"]).to_bytes();
+    let (_, bytes) = auto_db(&["GET /index", "POST /login"]);
     let dense_cheaper = u64::from(SelectReason::DenseCheaper.code());
     for forged in [dense_cheaper, SelectReason::ALL.len() as u64, u64::MAX] {
         let err = MappedDb::load_bytes(&forge_reason(&bytes, forged)).expect_err("refused");

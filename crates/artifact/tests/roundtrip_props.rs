@@ -10,7 +10,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sunder_artifact::{CompiledDb, MappedDb, SpecParams};
+use sunder_artifact::{db_bytes, write_db, CompiledPipeline, MappedDb, SpecParams};
+use sunder_automata::anml;
 use sunder_automata::input::InputView;
 use sunder_oracle::fuzz::{generate_case, render_reproducer, FuzzOptions};
 use sunder_oracle::{Divergence, Failure, PipelineConfig};
@@ -79,11 +80,12 @@ fn mapped_execution_is_byte_identical_to_in_memory() {
         let spec = SpecParams::MaxShards((case as usize % 4) + 1);
         for &config in PipelineConfig::ALL.iter() {
             for &engine in EngineKind::ALL.iter() {
-                let db = CompiledDb::compile(&nfa, config, spec, engine)
+                let db = CompiledPipeline::compile(&nfa, config, spec, engine)
                     .expect("fuzz-generated automata must compile under every config");
-                let reference = db.parts();
+                let source_anml = anml::serialize(&nfa);
+                let reference = db.parts(spec, &source_anml);
 
-                let bytes = db.to_bytes();
+                let bytes = db_bytes(&reference);
                 let mapped = match MappedDb::load_bytes(&bytes) {
                     Ok(m) => m,
                     Err(e) => diverge(
@@ -175,20 +177,18 @@ fn mapped_execution_is_byte_identical_to_in_memory() {
 #[test]
 fn file_round_trip_through_disk_matches_load_bytes() {
     let (nfa, input) = generate_case(&FuzzOptions::default(), 7);
-    let db = CompiledDb::compile(
-        &nfa,
-        PipelineConfig::ALL[0],
-        SpecParams::MaxShards(2),
-        EngineKind::ALL[0],
-    )
-    .expect("compile");
+    let spec = SpecParams::MaxShards(2);
+    let db = CompiledPipeline::compile(&nfa, PipelineConfig::ALL[0], spec, EngineKind::ALL[0])
+        .expect("compile");
+    let source_anml = anml::serialize(&nfa);
+    let parts = db.parts(spec, &source_anml);
 
     let dir = std::env::temp_dir().join(format!("sunder-artifact-rt-{}", std::process::id()));
     let path = dir.join("round-trip.sdb");
-    db.write(&path).expect("write .sdb");
+    write_db(&parts, &path).expect("write .sdb");
 
     let from_disk = MappedDb::open(&path).expect("open written database");
-    let from_bytes = MappedDb::load_bytes(&db.to_bytes()).expect("load bytes");
+    let from_bytes = MappedDb::load_bytes(&db_bytes(&parts)).expect("load bytes");
     assert_eq!(from_disk.key(), from_bytes.key());
     assert_eq!(
         from_disk.sharded().run_trace(&input).expect("disk trace"),

@@ -28,6 +28,92 @@ pub fn nibbles_of_bytes(bytes: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Decodes bytes into `symbol_bits`-wide symbols, across any number of
+/// calls: the one byte-to-symbol rule behind both a one-shot
+/// [`InputView`] and a chunked stream.
+///
+/// Widths are 4 (two nibbles per byte, high first), 8 (one symbol per
+/// byte) and 16 (byte pairs, big-endian). A 16-bit pair split across
+/// two [`SymbolDecoder::push`] calls is carried, never padded; only
+/// [`SymbolDecoder::finish`] pads an odd trailing byte, with a zero low
+/// byte (the symbol still carries real input).
+#[derive(Debug, Clone)]
+pub struct SymbolDecoder {
+    symbol_bits: u8,
+    /// 16-bit symbols only: the high byte of a pair still missing its
+    /// low byte.
+    carry: Option<u8>,
+}
+
+impl SymbolDecoder {
+    /// A decoder for `symbol_bits`-wide symbols.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AutomataError::UnsupportedWidth`] unless `symbol_bits`
+    /// is 4, 8 or 16.
+    pub fn new(symbol_bits: u8) -> Result<SymbolDecoder, AutomataError> {
+        if !matches!(symbol_bits, 4 | 8 | 16) {
+            return Err(AutomataError::UnsupportedWidth(symbol_bits));
+        }
+        Ok(SymbolDecoder {
+            symbol_bits,
+            carry: None,
+        })
+    }
+
+    /// Upper bound on the symbols `bytes` more input bytes decode to.
+    pub fn symbols_for(&self, bytes: usize) -> usize {
+        match self.symbol_bits {
+            4 => bytes * 2,
+            8 => bytes,
+            _ => bytes.div_ceil(2) + 1,
+        }
+    }
+
+    /// `true` while half of a 16-bit pair is carried.
+    pub fn has_carry(&self) -> bool {
+        self.carry.is_some()
+    }
+
+    /// Appends the symbols `bytes` completes to `out`.
+    pub fn push(&mut self, bytes: &[u8], out: &mut Vec<u16>) {
+        match self.symbol_bits {
+            4 => {
+                for &b in bytes {
+                    let (hi, lo) = byte_to_nibbles(b);
+                    out.push(u16::from(hi));
+                    out.push(u16::from(lo));
+                }
+            }
+            8 => out.extend(bytes.iter().map(|&b| u16::from(b))),
+            _ => {
+                let mut bytes = bytes;
+                if let Some(hi) = self.carry {
+                    let Some((&lo, rest)) = bytes.split_first() else {
+                        return;
+                    };
+                    out.push(u16::from(hi) << 8 | u16::from(lo));
+                    self.carry = None;
+                    bytes = rest;
+                }
+                let mut pairs = bytes.chunks_exact(2);
+                out.extend((&mut pairs).map(|p| u16::from(p[0]) << 8 | u16::from(p[1])));
+                if let [odd] = pairs.remainder() {
+                    self.carry = Some(*odd);
+                }
+            }
+        }
+    }
+
+    /// Ends the stream: appends a carried odd byte as `hi|00`.
+    pub fn finish(&mut self, out: &mut Vec<u16>) {
+        if let Some(hi) = self.carry.take() {
+            out.push(u16::from(hi) << 8);
+        }
+    }
+}
+
 /// One per-cycle symbol vector: `stride` symbols, of which the first
 /// `valid` carry real input (the rest are end-of-stream padding).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,19 +164,10 @@ impl InputView {
     /// Returns [`AutomataError::UnsupportedWidth`] for other widths.
     pub fn new(bytes: &[u8], symbol_bits: u8, stride: usize) -> Result<Self, AutomataError> {
         assert!(stride >= 1, "stride must be at least 1");
-        let symbols: Vec<u16> = match symbol_bits {
-            4 => nibbles_of_bytes(bytes).into_iter().map(u16::from).collect(),
-            8 => bytes.iter().map(|&b| u16::from(b)).collect(),
-            16 => bytes
-                .chunks(2)
-                .map(|c| {
-                    let hi = u16::from(c[0]) << 8;
-                    let lo = c.get(1).copied().map(u16::from).unwrap_or(0);
-                    hi | lo
-                })
-                .collect(),
-            other => return Err(AutomataError::UnsupportedWidth(other)),
-        };
+        let mut decoder = SymbolDecoder::new(symbol_bits)?;
+        let mut symbols = Vec::with_capacity(decoder.symbols_for(bytes.len()));
+        decoder.push(bytes, &mut symbols);
+        decoder.finish(&mut symbols);
         Ok(Self::from_symbols(symbols, stride))
     }
 

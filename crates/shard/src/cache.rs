@@ -4,10 +4,17 @@
 //! striding, partitioning into shards — dominates the setup cost of a
 //! batch submission and depends only on the automaton and the pipeline
 //! configuration, never on the input streams. The cache keys a compiled
-//! artifact by a 64-bit FNV-1a hash over the canonical textual (ANML)
-//! serialization of the source automaton, the configuration name, and
-//! the sharding spec, so repeated stream submissions against the same
-//! rule set skip re-transformation entirely.
+//! pipeline by its [`PipelineKey`] — a 64-bit FNV-1a hash over the
+//! canonical textual (ANML) serialization of the source automaton, the
+//! configuration name, the sharding spec and the engine request, the
+//! same key a `.sdb` header carries — so repeated stream submissions
+//! against the same rule set skip re-transformation entirely. A lookup
+//! serializes the automaton once: the text keys the lookup and, on a
+//! miss, is written through as the artifact's source section.
+//!
+//! [`CompiledPipeline`], [`PipelineKey`], [`pipeline_key`] and
+//! [`ShardSpec`] (`SpecParams`) are `sunder-artifact`'s, re-exported:
+//! a compiled and a mapped pipeline are one type.
 //!
 //! The canonical serialization makes the key *content*-addressed: two
 //! structurally identical automata hash identically no matter how they
@@ -30,173 +37,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use sunder_artifact::{DbParts, LoadedPipeline, MappedDb, SpecParams};
-use sunder_automata::partition::{partition, partition_into, PartitionOptions, ShardPlan};
+use sunder_artifact::MappedDb;
 use sunder_automata::{anml, AutomataError, Nfa};
 use sunder_oracle::PipelineConfig;
-use sunder_sim::{EngineChoice, Selection, ShardedEngine};
-use sunder_transform::PositionMap;
+use sunder_sim::{EngineChoice, Selection};
 
-/// How a cached pipeline is sharded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardSpec {
-    /// Balance into at most this many shards
-    /// ([`sunder_automata::partition::partition_into`]).
-    MaxShards(usize),
-    /// Pack toward a per-shard STE budget
-    /// ([`sunder_automata::partition::partition`]).
-    Budget(PartitionOptions),
-}
-
-impl ShardSpec {
-    fn apply(self, nfa: &Nfa) -> Result<ShardPlan, AutomataError> {
-        match self {
-            ShardSpec::MaxShards(k) => partition_into(nfa, k),
-            ShardSpec::Budget(opts) => partition(nfa, &opts),
-        }
-    }
-
-    /// The artifact-layer form of this spec (what `.sdb` files persist).
-    pub fn params(self) -> SpecParams {
-        match self {
-            ShardSpec::MaxShards(k) => SpecParams::MaxShards(k),
-            ShardSpec::Budget(opts) => SpecParams::Budget(opts),
-        }
-    }
-
-    /// Stable text folded into the cache key. Delegates to
-    /// [`SpecParams::key_text`] so the in-memory key and the on-disk
-    /// artifact key can never drift apart.
-    pub fn key_text(self) -> String {
-        self.params().key_text()
-    }
-}
-
-impl From<SpecParams> for ShardSpec {
-    fn from(params: SpecParams) -> ShardSpec {
-        match params {
-            SpecParams::MaxShards(k) => ShardSpec::MaxShards(k),
-            SpecParams::Budget(opts) => ShardSpec::Budget(opts),
-        }
-    }
-}
-
-/// A 64-bit content hash identifying one compiled pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PipelineKey(pub u64);
-
-impl std::fmt::Display for PipelineKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:016x}", self.0)
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(parts: &[&str]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for part in parts {
-        for &b in part.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        // Separator byte so ("ab","c") and ("a","bc") differ.
-        h ^= 0xff;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Computes the content-addressed key for (automaton, config, sharding,
-/// engine request). Exposed so artifacts can be correlated across
-/// processes. The key covers the request (`auto`, `sparse` or `dense`),
-/// not the engine `auto` resolves to, so it is known before compiling.
-pub fn pipeline_key(
-    nfa: &Nfa,
-    config: PipelineConfig,
-    spec: ShardSpec,
-    engine: impl Into<EngineChoice>,
-) -> PipelineKey {
-    let engine = engine.into();
-    PipelineKey(fnv1a(&[
-        config.name(),
-        &spec.key_text(),
-        engine.name(),
-        &anml::serialize(nfa),
-    ]))
-}
-
-/// One compiled pipeline: the transformed automaton, the position map
-/// folding its reports back to original-symbol coordinates, and the
-/// sharded engine ready to execute it.
-#[derive(Debug, Clone)]
-pub struct CompiledPipeline {
-    /// The content hash this artifact is cached under.
-    pub key: PipelineKey,
-    /// The configuration that produced it.
-    pub config: PipelineConfig,
-    /// The transformed (executable) automaton.
-    pub nfa: Nfa,
-    /// Folds transformed report positions to original-symbol coordinates.
-    pub map: PositionMap,
-    /// Sharded execution over the transformed automaton.
-    pub sharded: ShardedEngine,
-}
-
-impl CompiledPipeline {
-    /// Compiles `nfa` under `config`, shards per `spec`, and resolves
-    /// the engine request once (see `sunder_sim::select`), without
-    /// caching.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transformation and partitioning failures.
-    pub fn compile(
-        nfa: &Nfa,
-        config: PipelineConfig,
-        spec: ShardSpec,
-        engine: impl Into<EngineChoice>,
-    ) -> Result<CompiledPipeline, AutomataError> {
-        let engine = engine.into();
-        let key = pipeline_key(nfa, config, spec, engine);
-        let (transformed, map) = config.apply(nfa)?;
-        let plan = spec.apply(&transformed)?;
-        let sharded = ShardedEngine::from_plan(&transformed, plan, engine);
-        Ok(CompiledPipeline {
-            key,
-            config,
-            nfa: transformed,
-            map,
-            sharded,
-        })
-    }
-
-    /// Number of shards in the compiled plan.
-    pub fn num_shards(&self) -> usize {
-        self.sharded.num_shards()
-    }
-
-    /// The engine the pipeline runs, and why it was chosen.
-    pub fn selection(&self) -> Selection {
-        self.sharded.selection()
-    }
-}
-
-impl From<LoadedPipeline> for CompiledPipeline {
-    /// Adopts a pipeline loaded from a `.sdb` mapping: the engines keep
-    /// borrowing their tables from the mapping (pinned inside the
-    /// `ShardedEngine`), no recompilation happens.
-    fn from(lp: LoadedPipeline) -> CompiledPipeline {
-        CompiledPipeline {
-            key: PipelineKey(lp.key),
-            config: lp.config,
-            nfa: lp.nfa,
-            map: lp.map,
-            sharded: lp.sharded,
-        }
-    }
-}
+pub use sunder_artifact::SpecParams as ShardSpec;
+pub use sunder_artifact::{pipeline_key, CompiledPipeline, PipelineKey};
 
 /// Thread-safe content-addressed cache of [`CompiledPipeline`]s.
 #[derive(Debug)]
@@ -292,7 +139,7 @@ impl PipelineCache {
         if mapped.key() != key.0 {
             return None;
         }
-        Some(CompiledPipeline::from(mapped.into_parts()))
+        Some(mapped.into_parts())
     }
 
     /// Best-effort write-through of a fresh compilation.
@@ -300,16 +147,7 @@ impl PipelineCache {
         let Some(path) = self.disk_path(compiled.key) else {
             return;
         };
-        let parts = DbParts {
-            key: compiled.key.0,
-            config: compiled.config,
-            spec: self.spec.params(),
-            engine: compiled.sharded.kind(),
-            source_anml,
-            nfa: &compiled.nfa,
-            map: compiled.map,
-            sharded: &compiled.sharded,
-        };
+        let parts = compiled.parts(self.spec, source_anml);
         if let Err(e) = sunder_artifact::write_db(&parts, &path) {
             sunder_telemetry::instant(
                 "pipeline_cache.disk_write_failed",
@@ -383,7 +221,8 @@ impl PipelineCache {
         nfa: &Nfa,
         config: PipelineConfig,
     ) -> Result<Arc<CompiledPipeline>, AutomataError> {
-        let key = pipeline_key(nfa, config, self.spec, self.engine);
+        let source_anml = anml::serialize(nfa);
+        let key = PipelineKey::of_anml(&source_anml, config, self.spec, self.engine);
         let (hits_total, misses_total) = self.config_counters(config);
         if let Some(hit) = self.entries.lock().unwrap().get(&key.0) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -407,16 +246,14 @@ impl PipelineCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         misses_total.add(1);
-        let compiled = Arc::new(CompiledPipeline::compile(
+        let compiled = Arc::new(CompiledPipeline::compile_keyed(
+            key,
             nfa,
             config,
             self.spec,
             self.engine,
         )?);
-        debug_assert_eq!(compiled.key, key);
-        if self.disk.is_some() {
-            self.store_to_disk(&anml::serialize(nfa), &compiled);
-        }
+        self.store_to_disk(&source_anml, &compiled);
         // Two racing compilers produce identical artifacts (compilation
         // is deterministic), so last-insert-wins is safe.
         self.entries
@@ -508,31 +345,6 @@ mod tests {
             std::process::id(),
             SEQ.fetch_add(1, Ordering::Relaxed)
         ))
-    }
-
-    #[test]
-    fn cache_key_matches_artifact_key() {
-        // The disk tier only works if the in-memory key and the artifact
-        // key are bit-identical — pin the cross-crate contract.
-        let nfa = compile_rule_set(&["ab+c", ".*net"]).unwrap();
-        for (spec, engine) in [
-            (ShardSpec::MaxShards(3), EngineKind::Sparse.into()),
-            (
-                ShardSpec::Budget(PartitionOptions {
-                    ste_budget: 64,
-                    oversize: sunder_automata::partition::OversizePolicy::Dedicate,
-                }),
-                EngineChoice::Auto,
-            ),
-        ] {
-            for config in PipelineConfig::ALL {
-                assert_eq!(
-                    pipeline_key(&nfa, config, spec, engine).0,
-                    sunder_artifact::db_key(&nfa, config, &spec.params(), engine),
-                    "shard cache key and artifact key diverged"
-                );
-            }
-        }
     }
 
     #[test]

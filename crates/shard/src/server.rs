@@ -441,11 +441,11 @@ fn reload_db_artifact(inner: &ServerInner, path: &std::path::Path) -> Result<u64
                 inner.cfg.config
             ));
         }
-        if mapped.spec() != inner.cfg.spec.params() {
+        if mapped.spec() != inner.cfg.spec {
             return Err(format!(
                 "artifact sharding spec \"{}\" does not match server spec \"{}\"",
                 mapped.spec(),
-                inner.cfg.spec.key_text()
+                inner.cfg.spec
             ));
         }
         if mapped.selection().choice() != inner.cfg.engine {
@@ -455,7 +455,7 @@ fn reload_db_artifact(inner: &ServerInner, path: &std::path::Path) -> Result<u64
                 inner.cfg.engine
             ));
         }
-        let pipeline = Arc::new(crate::cache::CompiledPipeline::from(mapped.into_parts()));
+        let pipeline = Arc::new(mapped.into_parts());
         inner.cache.publish_selection(pipeline.selection());
         let epoch = inner.next_epoch.fetch_add(1, Ordering::Relaxed);
         *inner.db.lock().unwrap() = Arc::new(LoadedDb { epoch, pipeline });

@@ -25,7 +25,7 @@
 
 use std::sync::Arc;
 
-use sunder_automata::input::{nibbles_of_bytes, InputView};
+use sunder_automata::input::{InputView, SymbolDecoder};
 use sunder_automata::AutomataError;
 use sunder_resilience::{Budget, RunOutcome, StopReason};
 use sunder_sim::{ShardedState, TraceSink};
@@ -50,10 +50,8 @@ use crate::cache::CompiledPipeline;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SymbolFramer {
-    symbol_bits: u8,
+    decoder: SymbolDecoder,
     stride: usize,
-    /// 16-bit symbols only: first byte of a pair split across chunks.
-    carry: Option<u8>,
     /// Symbols of the trailing incomplete cycle (`len < stride`).
     pending: Vec<u16>,
 }
@@ -67,13 +65,9 @@ impl SymbolFramer {
     /// is 4, 8, or 16 (the widths [`InputView`] supports).
     pub fn new(symbol_bits: u8, stride: usize) -> Result<SymbolFramer, AutomataError> {
         assert!(stride >= 1, "stride must be at least 1");
-        if !matches!(symbol_bits, 4 | 8 | 16) {
-            return Err(AutomataError::UnsupportedWidth(symbol_bits));
-        }
         Ok(SymbolFramer {
-            symbol_bits,
+            decoder: SymbolDecoder::new(symbol_bits)?,
             stride,
-            carry: None,
             pending: Vec::new(),
         })
     }
@@ -85,7 +79,7 @@ impl SymbolFramer {
 
     /// `true` when no partial symbol or partial cycle is buffered.
     pub fn is_drained(&self) -> bool {
-        self.carry.is_none() && self.pending.is_empty()
+        !self.decoder.has_carry() && self.pending.is_empty()
     }
 
     /// Absorbs `chunk` and returns a view over every *complete* cycle now
@@ -93,30 +87,8 @@ impl SymbolFramer {
     /// not complete any cycle. The returned view never contains padding.
     pub fn push(&mut self, chunk: &[u8]) -> Option<InputView> {
         let mut symbols = std::mem::take(&mut self.pending);
-        match self.symbol_bits {
-            4 => symbols.extend(nibbles_of_bytes(chunk).into_iter().map(u16::from)),
-            8 => symbols.extend(chunk.iter().map(|&b| u16::from(b))),
-            16 => {
-                let mut bytes = chunk;
-                if let Some(hi) = self.carry.take() {
-                    if let Some((&lo, rest)) = bytes.split_first() {
-                        symbols.push(u16::from(hi) << 8 | u16::from(lo));
-                        bytes = rest;
-                    } else {
-                        self.carry = Some(hi);
-                    }
-                }
-                let mut pairs = bytes.chunks_exact(2);
-                for p in &mut pairs {
-                    symbols.push(u16::from(p[0]) << 8 | u16::from(p[1]));
-                }
-                if let [odd] = pairs.remainder() {
-                    debug_assert!(self.carry.is_none());
-                    self.carry = Some(*odd);
-                }
-            }
-            _ => unreachable!("validated in SymbolFramer::new"),
-        }
+        symbols.reserve(self.decoder.symbols_for(chunk.len()));
+        self.decoder.push(chunk, &mut symbols);
         let complete = symbols.len() - symbols.len() % self.stride;
         self.pending = symbols.split_off(complete);
         if symbols.is_empty() {
@@ -130,11 +102,7 @@ impl SymbolFramer {
     /// when the stream ended on a cycle boundary.
     pub fn finish(&mut self) -> Option<InputView> {
         let mut symbols = std::mem::take(&mut self.pending);
-        if let Some(hi) = self.carry.take() {
-            // Odd trailing byte of a 16-bit stream: high byte real,
-            // low byte zero — InputView::new does the same.
-            symbols.push(u16::from(hi) << 8);
-        }
+        self.decoder.finish(&mut symbols);
         if symbols.is_empty() {
             return None;
         }

@@ -425,13 +425,12 @@ fn drain_with_no_sessions_is_immediate() {
 /// Compiles `nfa` into a `.sdb` artifact matching `cfg`'s pipeline
 /// parameters and writes it under a fresh temp dir.
 fn write_artifact(nfa: &Nfa, cfg: &ServerConfig, tag: &str) -> std::path::PathBuf {
-    let db = sunder_artifact::CompiledDb::compile(nfa, cfg.config, cfg.spec.params(), cfg.engine)
-        .unwrap();
+    let db = CompiledPipeline::compile(nfa, cfg.config, cfg.spec, cfg.engine).unwrap();
     let path = std::env::temp_dir().join(format!(
         "sunder-serve-artifact-{}-{tag}.sdb",
         std::process::id()
     ));
-    db.write(&path).unwrap();
+    sunder_artifact::write_db(&db.parts(cfg.spec, &anml::serialize(nfa)), &path).unwrap();
     path
 }
 
@@ -533,18 +532,17 @@ fn corrupt_or_mismatched_artifact_is_refused_and_sessions_survive() {
 
     // Parameter mismatch: a perfectly valid artifact compiled under a
     // different sharding spec is refused too.
-    let mismatched_db = sunder_artifact::CompiledDb::compile(
-        &nfa2,
-        cfg.config,
-        ShardSpec::MaxShards(1).params(),
-        cfg.engine,
-    )
-    .unwrap();
+    let mismatched_db =
+        CompiledPipeline::compile(&nfa2, cfg.config, ShardSpec::MaxShards(1), cfg.engine).unwrap();
     let mismatched = std::env::temp_dir().join(format!(
         "sunder-serve-artifact-{}-mismatch.sdb",
         std::process::id()
     ));
-    mismatched_db.write(&mismatched).unwrap();
+    sunder_artifact::write_db(
+        &mismatched_db.parts(ShardSpec::MaxShards(1), &anml::serialize(&nfa2)),
+        &mismatched,
+    )
+    .unwrap();
     let err = server.reload_artifact(&mismatched).unwrap_err();
     assert!(err.contains("sharding spec"), "unexpected refusal: {err}");
     assert_eq!(server.epoch(), 1);

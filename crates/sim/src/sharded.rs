@@ -227,8 +227,9 @@ impl ShardedEngine {
 
     /// Runs one shard over the whole input under `budget`, returning its
     /// report events **remapped to original state ids** plus the run
-    /// outcome. Shards are independent, so callers may fan these out
-    /// across threads and [`ShardedEngine::merge`] the results.
+    /// outcome (no events when interrupted). Shards are independent, so
+    /// callers may fan these out across threads and
+    /// [`ShardedEngine::merge`] the results.
     ///
     /// # Panics
     ///
@@ -239,11 +240,31 @@ impl ShardedEngine {
         input: &InputView,
         budget: &Budget,
     ) -> (Vec<ReportEvent>, RunOutcome) {
-        let s = &self.plan.shards[shard];
+        match self.shard_pass(shard, input, &EngineState::initial(), budget, true) {
+            Ok((events, _)) => (events, RunOutcome::Completed),
+            Err(outcome) => (Vec::new(), outcome),
+        }
+    }
+
+    /// The one shard loop: instantiates `shard`'s engine, resumes it from
+    /// `from`, runs `input` under `budget` and suspends it again. Yields
+    /// the shard's report events remapped to original state ids and its
+    /// suspended state, or the interrupted outcome. `count_symbols`
+    /// records `shard_symbols_total` (whole-input runs do; session
+    /// chunks do not).
+    fn shard_pass(
+        &self,
+        shard: usize,
+        input: &InputView,
+        from: &EngineState,
+        budget: &Budget,
+        count_symbols: bool,
+    ) -> Result<(Vec<ReportEvent>, EngineState), RunOutcome> {
         let mut engine = self.build_shard_engine(shard);
+        engine.resume(from);
         let mut trace = TraceSink::new();
         let outcome = engine.run_budgeted(input, &mut trace, budget);
-        if sunder_telemetry::enabled() {
+        if count_symbols && sunder_telemetry::enabled() {
             let label = shard.to_string();
             sunder_telemetry::counter_add(
                 "shard_symbols_total",
@@ -251,11 +272,17 @@ impl ShardedEngine {
                 input.num_symbols() as u64,
             );
         }
+        if let RunOutcome::Interrupted { .. } = outcome {
+            return Err(outcome);
+        }
+        let mut suspended = EngineState::initial();
+        engine.suspend(&mut suspended);
+        let s = &self.plan.shards[shard];
         let mut events = trace.events;
         for e in &mut events {
             e.state = s.to_original(e.state);
         }
-        (events, outcome)
+        Ok((events, suspended))
     }
 
     /// Merges per-shard traces (in original state ids) into the
@@ -284,7 +311,8 @@ impl ShardedEngine {
         let _ = self.run_budgeted(input, sink, &Budget::unlimited());
     }
 
-    /// [`ShardedEngine::run`] under a cooperative budget. Shards execute
+    /// [`ShardedEngine::run`] under a cooperative budget: a chunk run
+    /// from [`ShardedEngine::initial_state`]. Shards execute
     /// sequentially; the first interrupted shard aborts the run and
     /// nothing is delivered to `sink` (a partially-sharded trace would
     /// be silently missing whole components, which is worse than
@@ -295,21 +323,7 @@ impl ShardedEngine {
         sink: &mut dyn ReportSink,
         budget: &Budget,
     ) -> RunOutcome {
-        assert_eq!(
-            input.stride(),
-            self.stride,
-            "input view stride must match the automaton stride"
-        );
-        let mut traces = Vec::with_capacity(self.num_shards());
-        for shard in 0..self.num_shards() {
-            let (events, outcome) = self.run_shard(shard, input, budget);
-            if let RunOutcome::Interrupted { .. } = outcome {
-                return outcome;
-            }
-            traces.push(events);
-        }
-        deliver(Self::merge(traces), sink);
-        RunOutcome::Completed
+        self.run_shards(input, sink, &mut self.initial_state(), budget, true)
     }
 
     /// Convenience: frames `input` for this automaton, runs all shards,
@@ -364,6 +378,19 @@ impl ShardedEngine {
         state: &mut ShardedState,
         budget: &Budget,
     ) -> RunOutcome {
+        self.run_shards(input, sink, state, budget, false)
+    }
+
+    /// Every shard from `state`, then merge and deliver; `state` advances
+    /// only when every shard completes.
+    fn run_shards(
+        &self,
+        input: &InputView,
+        sink: &mut dyn ReportSink,
+        state: &mut ShardedState,
+        budget: &Budget,
+        count_symbols: bool,
+    ) -> RunOutcome {
         assert_eq!(
             input.stride(),
             self.stride,
@@ -375,24 +402,15 @@ impl ShardedEngine {
             "suspended state must match the shard count"
         );
         let mut traces = Vec::with_capacity(self.num_shards());
-        let mut next: Vec<EngineState> = Vec::with_capacity(self.num_shards());
-        for shard in 0..self.num_shards() {
-            let s = &self.plan.shards[shard];
-            let mut engine = self.build_shard_engine(shard);
-            engine.resume(&state.shards[shard]);
-            let mut trace = TraceSink::new();
-            let outcome = engine.run_budgeted(input, &mut trace, budget);
-            if let RunOutcome::Interrupted { .. } = outcome {
-                return outcome;
+        let mut next = Vec::with_capacity(self.num_shards());
+        for (shard, from) in state.shards.iter().enumerate() {
+            match self.shard_pass(shard, input, from, budget, count_symbols) {
+                Ok((events, suspended)) => {
+                    traces.push(events);
+                    next.push(suspended);
+                }
+                Err(outcome) => return outcome,
             }
-            let mut suspended = EngineState::initial();
-            engine.suspend(&mut suspended);
-            next.push(suspended);
-            let mut events = trace.events;
-            for e in &mut events {
-                e.state = s.to_original(e.state);
-            }
-            traces.push(events);
         }
         state.shards = next;
         deliver(Self::merge(traces), sink);

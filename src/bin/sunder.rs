@@ -897,7 +897,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 /// (transform, partition, per-shard engine tables) and writes the result
 /// as a zero-copy `.sdb` pattern database.
 fn cmd_compile_db(args: &[String]) -> Result<(), String> {
-    use sunder::artifact::{CompiledDb, SpecParams};
+    use sunder::artifact::{write_db, CompiledPipeline, SpecParams};
 
     let flags = Flags { args };
     let nfa = load_nfa(&flags)?;
@@ -905,19 +905,21 @@ fn cmd_compile_db(args: &[String]) -> Result<(), String> {
     let engine = parse_engine(&flags)?;
     let shards: usize = parse_num(&flags, "--shards", 1)?;
     let out = flags.required("-o")?;
-    let db = CompiledDb::compile(&nfa, config, SpecParams::MaxShards(shards), engine)
-        .map_err(|e| e.to_string())?;
-    db.write(std::path::Path::new(out))
-        .map_err(|e| format!("write database {out}: {e}"))?;
+    let spec = SpecParams::MaxShards(shards);
+    let db = CompiledPipeline::compile(&nfa, config, spec, engine).map_err(|e| e.to_string())?;
+    write_db(
+        &db.parts(spec, &anml::serialize(&nfa)),
+        std::path::Path::new(out),
+    )
+    .map_err(|e| format!("write database {out}: {e}"))?;
     let size = fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-    let parts = db.parts();
     eprintln!(
-        "compiled pattern database: key {:016x}, {} pipeline, {} engine, {} shards, \
+        "compiled pattern database: key {}, {} pipeline, {} engine, {} shards, \
          {size} bytes -> {out}",
-        parts.key,
-        parts.config.name(),
-        parts.sharded.selection(),
-        parts.sharded.num_shards(),
+        db.key,
+        db.config.name(),
+        db.selection(),
+        db.num_shards(),
     );
     Ok(())
 }
@@ -972,7 +974,7 @@ fn cmd_inspect_db(args: &[String]) -> Result<(), String> {
 fn cmd_artifact_smoke(args: &[String]) -> Result<(), String> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::{Duration, Instant};
-    use sunder::artifact::{corrupt, CompiledDb, MappedDb, SpecParams};
+    use sunder::artifact::{corrupt, db_bytes, write_db, CompiledPipeline, MappedDb, SpecParams};
 
     let flags = Flags { args };
     // Default to the flagship stride-2 pipeline: the cold-load gate
@@ -1002,19 +1004,19 @@ fn cmd_artifact_smoke(args: &[String]) -> Result<(), String> {
     for bench in Benchmark::ALL.iter().copied() {
         let w = bench.build(scale);
         let t = Instant::now();
-        let db = CompiledDb::compile(&w.nfa, config, spec, engine)
+        let db = CompiledPipeline::compile(&w.nfa, config, spec, engine)
             .map_err(|e| format!("{}: compile: {e}", bench.name()))?;
         let compile = t.elapsed();
         let path = dir.join(format!("{}.sdb", bench.name().to_lowercase()));
-        db.write(&path)
-            .map_err(|e| format!("{}: write: {e}", bench.name()))?;
+        let source_anml = anml::serialize(&w.nfa);
+        let parts = db.parts(spec, &source_anml);
+        write_db(&parts, &path).map_err(|e| format!("{}: write: {e}", bench.name()))?;
 
         let t = Instant::now();
         let mapped = MappedDb::open(&path).map_err(|e| format!("{}: load: {e}", bench.name()))?;
         let load = t.elapsed();
 
         let expected = db
-            .parts()
             .sharded
             .run_trace(&w.input)
             .map_err(|e| format!("{}: in-memory run: {e}", bench.name()))?;
@@ -1045,7 +1047,7 @@ fn cmd_artifact_smoke(args: &[String]) -> Result<(), String> {
         compile_total += compile;
         load_total += load;
         if first_image.is_none() {
-            first_image = Some(db.to_bytes());
+            first_image = Some(db_bytes(&parts));
         }
     }
 
